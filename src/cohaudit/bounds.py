@@ -31,22 +31,6 @@ class BoundReport:
     operator_bernstein_floor: int
     l1_stability_floor: int
 
-    def as_dict(self):
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "worst_case_k": self.worst_case_k,
-            "heuristic_k": self.heuristic_k,
-            "bernstein_k": self.bernstein_k,
-            "operator_bernstein_k": self.operator_bernstein_k,
-            "l1_stability_k": self.l1_stability_k,
-            "worst_case_floor": self.worst_case_floor,
-            "heuristic_floor": self.heuristic_floor,
-            "bernstein_floor": self.bernstein_floor,
-            "operator_bernstein_floor": self.operator_bernstein_floor,
-            "l1_stability_floor": self.l1_stability_floor,
-        }
-
 
 @dataclass(frozen=True)
 class RipWidth:
@@ -68,17 +52,6 @@ class SeparationCondition:
     ok: bool
     g_joint_pair_scaled: float
     margin_pair_scaled: float
-
-    def as_dict(self):
-        return {
-            "g_x": self.g_x,
-            "g_e": self.g_e,
-            "g_joint": self.g_joint,
-            "margin": self.margin,
-            "ok": self.ok,
-            "g_joint_pair_scaled": self.g_joint_pair_scaled,
-            "margin_pair_scaled": self.margin_pair_scaled,
-        }
 
 
 def _check_unit_interval(name, value, allow_one=True):

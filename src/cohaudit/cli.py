@@ -12,22 +12,21 @@ verification check failed.
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ._streams import substream_seed
 from .bounds import energy_deviation_tail, rip_width, sparsity_bounds, \
     spectral_deviation_tail
-from .coherence import coherence_sample, normality_check, profile, \
-    write_histogram_csv
+from .coherence import coherence_sample, normality_check, profile
 from .ensembles import ENSEMBLES, EnsembleSpec, generate, load_matrix, \
     normalize_columns
-from .errors import CoherenceAuditError, InsufficientDataError
-from .ripcheck import band_frequency, sample_ratios, sample_spectral, \
-    tail_check, write_values_csv
+from .errors import InsufficientDataError
+from .ripcheck import band_frequency, sample_ratios, sample_spectral, tail_check
 from .separation import separation_feasibility, separation_trial, \
     spikes_fourier_pair
-from .solvers import SOLVERS, phase_curve, write_phase_csv
-from .util import canonical_json, parallel_map
+from .solvers import SOLVERS, phase_curve
+from .util import canonical_json, parallel_map, write_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -44,11 +43,20 @@ def _add_source_args(sub):
     sub.add_argument("--cols", type=int, help="cols for --ensemble")
 
 
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common_args(sub):
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for Monte Carlo trials (default 1)")
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="worker threads for Monte Carlo trials, capped at the "
+                          "core count (default 1)")
 
 
 def _resolve_matrix(args, parser):
@@ -74,14 +82,12 @@ def _resolve_matrix(args, parser):
     return generate(spec), source
 
 
-def _profile_dict(prof):
-    return {
-        "mutual_coherence": prof.mutual_coherence,
-        "mean": prof.mean,
-        "std": prof.std,
-        "sample_count": prof.sample_count,
-        "histogram": [[lo, hi, c] for lo, hi, c in prof.histogram],
-    }
+def _thresholds(prof):
+    """Sparsity thresholds at the profile's (mu, sigma); None if either is 0."""
+    mu = min(prof.mutual_coherence, 1.0)
+    if mu > 0.0 and prof.std > 0.0:
+        return asdict(sparsity_bounds(mu, prof.std))
+    return None
 
 
 def run_audit(args, parser):
@@ -89,26 +95,20 @@ def run_audit(args, parser):
     sample = coherence_sample(matrix)
     prof = profile(sample, bins=args.bins)
     try:
-        fit = normality_check(sample)
-        normality = {"z_mean": fit.z_mean, "var_ratio": fit.var_ratio,
-                     "excess_kurtosis": fit.excess_kurtosis,
-                     "passed": fit.passed, "degenerate": fit.degenerate}
+        normality = asdict(normality_check(sample))
     except InsufficientDataError:
         normality = None
-    mu = min(prof.mutual_coherence, 1.0)
-    if mu > 0.0 and prof.std > 0.0:
-        thresholds = sparsity_bounds(mu, prof.std).as_dict()
-    else:
-        thresholds = None
+    thresholds = _thresholds(prof)
     report = {
         "command": "audit",
         "source": source,
-        "profile": _profile_dict(prof),
+        "profile": asdict(prof),
         "normality": normality,
         "thresholds": thresholds,
     }
     if args.hist_csv:
-        write_histogram_csv(prof, args.hist_csv)
+        write_csv(args.hist_csv, "bin_lower,bin_upper,count", "%.12g,%.12g,%d",
+                  prof.histogram)
     lines = [f"pairs={prof.sample_count} mu={prof.mutual_coherence:.6g} "
              f"sigma={prof.std:.6g}"]
     if thresholds:
@@ -135,8 +135,6 @@ def _parse_grid(text, parser):
 
 def run_verify(args, parser):
     matrix, source = _resolve_matrix(args, parser)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     k = args.k
     sigma = profile(coherence_sample(matrix)).std
     ratios = sample_ratios(matrix, k, args.trials, args.seed,
@@ -157,7 +155,7 @@ def run_verify(args, parser):
         spectral_points = tail_check(
             spectral, [m * g_spectral for m in multipliers],
             lambda t: spectral_deviation_tail(t, k, sigma))
-    ok = all(p.ok for p in ratio_points + spectral_points)
+    failed = sum(1 for p in ratio_points + spectral_points if not p.ok)
     report = {
         "command": "verify",
         "source": source,
@@ -171,24 +169,21 @@ def run_verify(args, parser):
         "band_frequency": band,
         "ratio_mean": float(ratios.values.mean()),
         "spectral_max": float(spectral.values.max()),
-        "ratio_tail": [p.as_dict() for p in ratio_points],
-        "spectral_tail": [p.as_dict() for p in spectral_points],
-        "ok": ok,
+        "ratio_tail": [asdict(p) for p in ratio_points],
+        "spectral_tail": [asdict(p) for p in spectral_points],
+        "ok": failed == 0,
     }
     if args.ratios_csv:
-        write_values_csv(ratios, args.ratios_csv)
+        write_csv(args.ratios_csv, "value", "%.12g", ratios.values)
     if args.spectral_csv:
-        write_values_csv(spectral, args.spectral_csv)
-    failed = sum(1 for p in ratio_points + spectral_points if not p.ok)
+        write_csv(args.spectral_csv, "value", "%.12g", spectral.values)
     lines = [f"band frequency at g={g_energy:.6g}: {band:.4f}",
              f"tail checks: {len(ratio_points) + len(spectral_points) - failed} ok, "
              f"{failed} failed"]
-    return report, EXIT_OK if ok else EXIT_VERIFY, lines
+    return report, EXIT_VERIFY if failed else EXIT_OK, lines
 
 
 def run_phase(args, parser):
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     try:
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
@@ -206,10 +201,6 @@ def run_phase(args, parser):
     points = phase_curve(curve_source, k_list, args.solver, args.trials,
                          args.noise, args.seed, fresh_matrix=args.fresh_matrix,
                          threads=args.threads)
-    prof = profile(coherence_sample(matrix))
-    mu = min(prof.mutual_coherence, 1.0)
-    thresholds = sparsity_bounds(mu, prof.std).as_dict() \
-        if mu > 0.0 and prof.std > 0.0 else None
     report = {
         "command": "phase",
         "source": source,
@@ -217,19 +208,20 @@ def run_phase(args, parser):
         "noise_sigma": args.noise,
         "trials": args.trials,
         "fresh_matrix": args.fresh_matrix,
-        "points": [p.as_dict() for p in points],
-        "thresholds": thresholds,
+        "points": [asdict(p) for p in points],
+        "thresholds": _thresholds(profile(coherence_sample(matrix))),
     }
     if args.csv:
-        write_phase_csv(points, args.csv)
+        write_csv(args.csv, "k,trials,successes,rate,ci_low,ci_high",
+                  "%d,%d,%d,%.12g,%.12g,%.12g",
+                  ((p.k, p.trials, p.successes, p.rate, p.ci_low, p.ci_high)
+                   for p in points))
     lines = ["k=%d rate=%.3f ci=[%.3f, %.3f]" % (p.k, p.rate, p.ci_low, p.ci_high)
              for p in points]
     return report, EXIT_OK, lines
 
 
 def run_separate(args, parser):
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     if args.nx < 0 or args.ne < 0:
         parser.error("--nx and --ne must be >= 0")
     if args.preset:
@@ -264,7 +256,7 @@ def run_separate(args, parser):
         "trials": args.trials,
         "epsilon": args.epsilon,
         "noise_sigma": args.noise,
-        "condition": condition.as_dict(),
+        "condition": asdict(condition),
         "x_rel_error_mean": sum(x_errs) / len(x_errs),
         "x_rel_error_max": max(x_errs),
         "e_rel_error_mean": sum(e_errs) / len(e_errs),
@@ -274,12 +266,11 @@ def run_separate(args, parser):
         "converged_rate": sum(t.converged for t in trials) / len(trials),
     }
     if args.csv:
-        lines = ["trial,x_rel_error,e_rel_error,x_support_ok,e_support_ok,converged"]
-        for i, t in enumerate(trials):
-            lines.append("%d,%.12g,%.12g,%d,%d,%d"
-                         % (i, t.x_rel_error, t.e_rel_error,
-                            t.x_support_ok, t.e_support_ok, t.converged))
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        write_csv(args.csv,
+                  "trial,x_rel_error,e_rel_error,x_support_ok,e_support_ok,converged",
+                  "%d,%.12g,%.12g,%d,%d,%d",
+                  ((i, t.x_rel_error, t.e_rel_error, t.x_support_ok, t.e_support_ok,
+                    t.converged) for i, t in enumerate(trials)))
     summary = [
         "margin=%.6g (%s)" % (condition.margin,
                               "feasible" if condition.ok else "not feasible"),
@@ -299,7 +290,7 @@ def build_parser():
     p_audit = subs.add_parser("audit", help="coherence profile and sparsity thresholds")
     _add_source_args(p_audit)
     _add_common_args(p_audit)
-    p_audit.add_argument("--bins", type=int, default=None,
+    p_audit.add_argument("--bins", type=_positive_int, default=None,
                          help="histogram bin count (default ceil(sqrt(pairs)))")
     p_audit.add_argument("--hist-csv", help="also write the histogram as CSV")
     p_audit.set_defaults(func=run_audit)
@@ -308,7 +299,7 @@ def build_parser():
     _add_source_args(p_verify)
     _add_common_args(p_verify)
     p_verify.add_argument("--k", type=int, required=True, help="support size")
-    p_verify.add_argument("--trials", type=int, default=2000,
+    p_verify.add_argument("--trials", type=_positive_int, default=2000,
                           help="energy-ratio trials (default 2000)")
     p_verify.add_argument("--spectral-trials", type=int, default=None,
                           help="spectral trials (default: same as --trials)")
@@ -326,7 +317,7 @@ def build_parser():
     p_phase.add_argument("--k-list", required=True,
                          help="comma-separated ascending sparsities")
     p_phase.add_argument("--solver", choices=SOLVERS, required=True)
-    p_phase.add_argument("--trials", type=int, default=200,
+    p_phase.add_argument("--trials", type=_positive_int, default=200,
                          help="trials per sparsity (default 200)")
     p_phase.add_argument("--noise", type=float, default=0.0,
                          help="measurement noise sigma (default 0)")
@@ -344,7 +335,7 @@ def build_parser():
     p_sep.add_argument("--matrix-b", help="disturbance dictionary file")
     p_sep.add_argument("--nx", type=int, required=True, help="signal sparsity")
     p_sep.add_argument("--ne", type=int, required=True, help="disturbance sparsity")
-    p_sep.add_argument("--trials", type=int, default=50)
+    p_sep.add_argument("--trials", type=_positive_int, default=50)
     p_sep.add_argument("--noise", type=float, default=0.0)
     p_sep.add_argument("--epsilon", type=float, default=1e-6,
                        help="residual budget for the joint solve")
@@ -358,15 +349,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, code, summary = args.func(args, parser)
-    except CoherenceAuditError as exc:
+        text = canonical_json(report) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    text = canonical_json(report) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
         for line in summary:
             print(line)
         print(f"report written to {args.out}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, UnnormalizedMatrixError
+from .util import frozen_copy
 
 NORM_TOL = 1e-9
 
@@ -33,9 +34,7 @@ class CoherenceSample:
     source_dims: tuple
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_copy(self.values))
 
     @property
     def count(self):
@@ -72,7 +71,8 @@ class FitReport:
     degenerate: bool = False
 
 
-def _require_normalized(matrix, name="matrix"):
+def require_normalized(matrix, name="matrix"):
+    """Raise UnnormalizedMatrixError unless every column has unit norm."""
     if not matrix.is_normalized(NORM_TOL):
         worst = float(np.max(np.abs(matrix.column_norms() - 1.0)))
         raise UnnormalizedMatrixError(
@@ -85,7 +85,7 @@ def coherence_sample(matrix, block_cols=DEFAULT_BLOCK_COLS):
     Pairs are ordered lexicographically: (0,1), (0,2), ..., (1,2), ...
     Requires unit-norm columns.
     """
-    _require_normalized(matrix)
+    require_normalized(matrix)
     n, N = matrix.rows, matrix.cols
     data = matrix.data
     if N <= block_cols:
@@ -175,8 +175,8 @@ def cross_coherence(left, right, block_cols=DEFAULT_BLOCK_COLS):
     if left.rows != right.rows:
         raise DimensionError(
             f"row mismatch: {left.rows} vs {right.rows}")
-    _require_normalized(left, "left")
-    _require_normalized(right, "right")
+    require_normalized(left, "left")
+    require_normalized(right, "right")
     total = left.cols * right.cols
     if total == 0:
         return CrossCoherenceProfile(max_cross=0.0, std=0.0, mean=0.0, sample_count=0)
@@ -193,12 +193,3 @@ def cross_coherence(left, right, block_cols=DEFAULT_BLOCK_COLS):
     var = max(s2 / total - mean * mean, 0.0)
     return CrossCoherenceProfile(max_cross=peak, std=math.sqrt(var),
                                  mean=mean, sample_count=total)
-
-
-def write_histogram_csv(prof, path):
-    """Dump a profile's histogram as bin_lower,bin_upper,count rows."""
-    lines = ["bin_lower,bin_upper,count"]
-    for lo, hi, count in prof.histogram:
-        lines.append("%.12g,%.12g,%d" % (lo, hi, count))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import k_subset, stream
-from .coherence import _require_normalized
+from .coherence import require_normalized
 from .errors import DimensionError, DomainError
 from .linalg import sym_opnorm
-from .util import parallel_map
+from .util import frozen_copy, parallel_map
 
 COEFF_MODELS = ("gaussian", "rademacher")
 
@@ -32,9 +32,7 @@ class RatioSample:
     coeff_model: str
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_copy(self.values))
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,7 @@ class SpectralSample:
     seed: int
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_copy(self.values))
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,6 @@ class TailCheckPoint:
     bound: float
     slack: float
     ok: bool
-
-    def as_dict(self):
-        return {"t": self.t, "empirical": self.empirical, "bound": self.bound,
-                "slack": self.slack, "ok": self.ok}
 
 
 def _coefficients(rng, k, model):
@@ -77,7 +69,7 @@ def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
     Each trial gets its own keyed stream, so results are identical at
     any thread count.  Requires unit-norm columns.
     """
-    _require_normalized(matrix)
+    require_normalized(matrix)
     if not 1 <= k <= matrix.cols:
         raise DomainError(f"need 1 <= k <= {matrix.cols}, got k={k}")
     if trials < 1:
@@ -133,7 +125,7 @@ def spectral_deviation(matrix, support):
 
 def sample_spectral(matrix, k, trials, seed, threads=1):
     """Draw spectral deviations over random k-supports."""
-    _require_normalized(matrix)
+    require_normalized(matrix)
     if not 1 <= k <= matrix.cols:
         raise DomainError(f"need 1 <= k <= {matrix.cols}, got k={k}")
     if trials < 1:
@@ -195,11 +187,3 @@ def energy_identity_gap(matrix, support, coeffs):
     diag = float(np.sum(np.diag(gram) * x * x))
     expanded = diag + float(x @ off @ x)
     return abs(direct - expanded)
-
-
-def write_values_csv(sample, path):
-    """Dump a sample's values one per row under a 'value' header."""
-    lines = ["value"]
-    lines.extend("%.12g" % v for v in sample.values)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

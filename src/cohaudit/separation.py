@@ -18,7 +18,7 @@ from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING
 from .solvers import SparseSignal, bpdn
-from .util import parallel_map
+from .util import frozen_copy, parallel_map
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class SeparationProblem:
     n_e: int
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=np.float64, copy=True).ravel()
+        y = frozen_copy(self.y).ravel()
         if self.left.rows != self.right.rows:
             raise DimensionError(
                 f"row mismatch: {self.left.rows} vs {self.right.rows}")
@@ -42,7 +42,6 @@ class SeparationProblem:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.n_x < 0 or self.n_e < 0:
             raise DomainError(f"sparsities must be >= 0, got {self.n_x}, {self.n_e}")
-        y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
 
@@ -140,27 +139,21 @@ def _support_match(est_signal, true_support, tol):
     return est == set(true_support.tolist())
 
 
-def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
-                     epsilon=1e-6, support_tol=None, **solver_options):
-    """One planted separation experiment.
+def _plant(rng, cols, k):
+    """Gaussian coefficients on a uniform random k-subset of range(cols)."""
+    v = np.zeros(cols)
+    if k:
+        # the right-hand side is evaluated first: values, then support
+        v[k_subset(rng, cols, k)] = rng.standard_normal(k)
+    return v
 
-    Draws n_x atoms from the left dictionary and n_e from the right with
-    Gaussian coefficients, mixes, optionally adds noise, separates, and
-    reports per-component relative errors and support agreement.
-    """
-    if left.rows != right.rows:
-        raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
-    rng_x = stream(seed, "separation-x", n_x)
-    rng_e = stream(seed, "separation-e", n_e)
-    x = np.zeros(left.cols)
-    if n_x:
-        x[k_subset(rng_x, left.cols, n_x)] = rng_x.standard_normal(n_x)
-    e = np.zeros(right.cols)
-    if n_e:
-        e[k_subset(rng_e, right.cols, n_e)] = rng_e.standard_normal(n_e)
+
+def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma,
+                   epsilon, support_tol, solver_options):
+    """Mix the planted pair (x, e), add noise, separate and score."""
     y = left.data @ x + (right.data @ e if right.cols else 0.0)
     if noise_sigma > 0:
-        y = y + noise_sigma * stream(seed, "separation-noise").standard_normal(left.rows)
+        y = y + noise_sigma * stream(seed, noise_tag).standard_normal(left.rows)
     problem = SeparationProblem(left=left, right=right, y=y, epsilon=epsilon,
                                 n_x=n_x, n_e=n_e)
     result = separate(problem, **solver_options)
@@ -185,6 +178,25 @@ def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
     )
 
 
+def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
+                     epsilon=1e-6, support_tol=None, **solver_options):
+    """One planted separation experiment.
+
+    Draws n_x atoms from the left dictionary and n_e from the right with
+    Gaussian coefficients, mixes, optionally adds noise, separates, and
+    reports per-component relative errors and support agreement.
+    """
+    if left.rows != right.rows:
+        raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
+    if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
+        raise DomainError(f"need 0 <= n_x <= {left.cols} and 0 <= n_e <= "
+                          f"{right.cols}, got {n_x}, {n_e}")
+    x = _plant(stream(seed, "separation-x", n_x), left.cols, n_x)
+    e = _plant(stream(seed, "separation-e", n_e), right.cols, n_e)
+    return _planted_trial(left, right, x, e, n_x, n_e, seed, "separation-noise",
+                          noise_sigma, epsilon, support_tol, solver_options)
+
+
 def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
                           corruption_scale=10.0, epsilon=None, support_tol=None,
                           **solver_options):
@@ -192,50 +204,26 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
 
     The measurement picks up n_corruptions spike errors of typical size
     corruption_scale on top of optional dense Gaussian noise; recovery
-    stacks the dictionary with the identity and separates.  Reported
-    errors and support agreement refer to the signal component only.
+    stacks the dictionary with the identity and separates.  The x fields
+    of the result describe the signal, the e fields the corruption.
     """
     n = matrix.rows
     if not 0 <= n_corruptions <= n:
         raise DimensionError(f"need 0 <= n_corruptions <= {n}, got {n_corruptions}")
     if not 0 <= k <= matrix.cols:
         raise DomainError(f"need 0 <= k <= {matrix.cols}, got {k}")
-    spikes = MeasurementMatrix(np.eye(n))
-    rng_x = stream(seed, "robust-signal", k)
-    x = np.zeros(matrix.cols)
-    if k:
-        x[k_subset(rng_x, matrix.cols, k)] = rng_x.standard_normal(k)
+    x = _plant(stream(seed, "robust-signal", k), matrix.cols, k)
     rng_e = stream(seed, "robust-corruption", n_corruptions)
     e = np.zeros(n)
     if n_corruptions:
+        # support before values, unlike _plant: the sampled corruptions rely on it
         picked = k_subset(rng_e, n, n_corruptions)
         e[picked] = corruption_scale * rng_e.standard_normal(n_corruptions)
-    y = matrix.data @ x + e
-    if noise_sigma > 0:
-        y = y + noise_sigma * stream(seed, "robust-noise").standard_normal(n)
     if epsilon is None:
         epsilon = 1.1 * noise_sigma * math.sqrt(n) if noise_sigma > 0 else 0.0
-    problem = SeparationProblem(left=matrix, right=spikes, y=y, epsilon=epsilon,
-                                n_x=k, n_e=n_corruptions)
-    result = separate(problem, **solver_options)
-    if support_tol is None:
-        support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
-    x_hat = result.x_hat.to_dense()
-    xnorm = float(np.linalg.norm(x))
-    err = float(np.linalg.norm(x_hat - x))
-    rel = err / xnorm if xnorm > 0 else err
-    e_hat = result.e_hat.to_dense()
-    enorm = float(np.linalg.norm(e))
-    e_err = float(np.linalg.norm(e_hat - e))
-    return SeparationTrial(
-        x_rel_error=rel,
-        e_rel_error=e_err / enorm if enorm > 0 else e_err,
-        x_support_ok=_support_match(x_hat, np.flatnonzero(x), support_tol),
-        e_support_ok=_support_match(e_hat, np.flatnonzero(e), support_tol),
-        residual_norm=result.solver.residual_norm,
-        converged=result.solver.converged,
-        margin=result.condition.margin,
-    )
+    return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, k, n_corruptions,
+                          seed, "robust-noise", noise_sigma, epsilon, support_tol,
+                          solver_options)
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):
@@ -255,21 +243,19 @@ def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):
         raise DomainError("sparsities must fit inside the dictionaries")
     cond = separation_feasibility(left, right, n_x, n_e)
 
+    def image(rng, dictionary, k):
+        """D c for k Gaussian coefficients c on a random support, and ||c||^2."""
+        if not k:
+            return np.zeros(left.rows), 0.0
+        sup = k_subset(rng, dictionary.cols, k)
+        c = rng.standard_normal(k)
+        return dictionary.data[:, sup] @ c, float(c @ c)
+
     def one(trial):
         rng = stream(seed, "joint-rip", trial)
-        dx = np.zeros(left.rows)
-        energy = 0.0
-        if n_x:
-            sup = k_subset(rng, left.cols, n_x)
-            c = rng.standard_normal(n_x)
-            dx = left.data[:, sup] @ c
-            energy += float(c @ c)
-        be = np.zeros(left.rows)
-        if n_e:
-            sup = k_subset(rng, right.cols, n_e)
-            c = rng.standard_normal(n_e)
-            be = right.data[:, sup] @ c
-            energy += float(c @ c)
+        dx, energy_x = image(rng, left, n_x)
+        be, energy_e = image(rng, right, n_e)
+        energy = energy_x + energy_e
         mixed = dx + be
         direct = float(mixed @ mixed)
         parts = float(dx @ dx) + float(be @ be) + 2.0 * float(dx @ be)

@@ -15,7 +15,7 @@ from ._streams import k_subset, stream, substream_seed
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
-from .util import parallel_map
+from .util import frozen_copy, parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
 
@@ -35,8 +35,8 @@ class SparseSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        sup = np.array(self.support, dtype=int, copy=True)
-        val = np.array(self.values, dtype=np.float64, copy=True)
+        sup = frozen_copy(self.support, int)
+        val = frozen_copy(self.values)
         if sup.size != val.size:
             raise DimensionError("support and values must have equal length")
         if sup.size:
@@ -48,8 +48,6 @@ class SparseSignal:
                 raise ValueError(f"support indices must lie in [0, {self.dim})")
             if np.any(val == 0.0):
                 raise ValueError("values must be nonzero")
-        sup.flags.writeable = False
-        val.flags.writeable = False
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "values", val)
 
@@ -103,32 +101,29 @@ class PhasePoint:
     ci_low: float
     ci_high: float
 
-    def as_dict(self):
-        return {"k": self.k, "trials": self.trials, "successes": self.successes,
-                "rate": self.rate, "ci_low": self.ci_low, "ci_high": self.ci_high}
 
-
-def _mat(matrix):
-    if isinstance(matrix, MeasurementMatrix):
-        return matrix.data
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def _check_rhs(data, y):
+def _operands(matrix, y):
+    """The matrix as a float array and y as a vector of matching length."""
+    data = matrix.data if isinstance(matrix, MeasurementMatrix) \
+        else np.asarray(matrix, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != data.shape[0]:
         raise DimensionError(f"y has length {y.size}, matrix has {data.shape[0]} rows")
-    return y
+    return data, y
 
 
-def _lstsq(sub, y):
-    """Least squares with a ridge fallback on rank deficiency."""
+def _lstsq(sub, y, flags):
+    """Least squares with a ridge fallback on rank deficiency.
+
+    The fallback adds 'regularized' to the solver's flags list, once.
+    """
     coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
     if rank < sub.shape[1]:
         gram = sub.T @ sub + 1e-12 * np.eye(sub.shape[1])
         coef = np.linalg.solve(gram, sub.T @ y)
-        return coef, True
-    return coef, False
+        if "regularized" not in flags:
+            flags.append("regularized")
+    return coef
 
 
 def hard_threshold(v, k):
@@ -140,15 +135,14 @@ def hard_threshold(v, k):
         return out
     if k >= v.size:
         return v.copy()
-    order = np.lexsort((np.arange(v.size), -np.abs(v)))
-    keep = order[:k]
+    keep = _top_indices(v, k)
     out[keep] = v[keep]
     return out
 
 
 def _top_indices(v, m):
-    order = np.lexsort((np.arange(v.size), -np.abs(v)))
-    return np.sort(order[:m])
+    """Indices of the m largest-magnitude entries, ties to the lower index."""
+    return np.lexsort((np.arange(v.size), -np.abs(v)))[:m]
 
 
 def soft_threshold(v, t):
@@ -164,8 +158,7 @@ def omp(matrix, y, k=None, residual_tol=None, max_iter=None):
     means the residual is orthogonal to every remaining atom; the solver
     stops and flags 'stalled'.
     """
-    data = _mat(matrix)
-    y = _check_rhs(data, y)
+    data, y = _operands(matrix, y)
     n, cols = data.shape
     if k is None and residual_tol is None:
         raise ValueError("need a sparsity target k or a residual_tol")
@@ -194,9 +187,7 @@ def omp(matrix, y, k=None, residual_tol=None, max_iter=None):
             break
         chosen.add(j)
         support.append(j)
-        coef, ridged = _lstsq(data[:, support], y)
-        if ridged and "regularized" not in flags:
-            flags.append("regularized")
+        coef = _lstsq(data[:, support], y, flags)
         resid = y - data[:, support] @ coef
         rnorm = float(np.linalg.norm(resid))
         it += 1
@@ -216,8 +207,7 @@ def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
     than tol, flags 'diverged' and stops if the residual grows by 10x
     over a 50-iteration window.
     """
-    data = _mat(matrix)
-    y = _check_rhs(data, y)
+    data, y = _operands(matrix, y)
     cols = data.shape[1]
     if not 0 <= k <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
@@ -231,6 +221,7 @@ def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
     x = np.zeros(cols)
     flags = []
     history = []
+    converged = False
     it = 0
     for it in range(1, max_iter + 1):
         resid = y - data @ x
@@ -243,12 +234,11 @@ def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
         delta = float(np.linalg.norm(x_next - x))
         x = x_next
         if delta <= tol:
-            return SolveResult(estimate=x, iterations=it,
-                               residual_norm=float(np.linalg.norm(y - data @ x)),
-                               converged=True, flags=tuple(flags))
+            converged = True
+            break
     return SolveResult(estimate=x, iterations=it,
                        residual_norm=float(np.linalg.norm(y - data @ x)),
-                       converged=False, flags=tuple(flags))
+                       converged=converged, flags=tuple(flags))
 
 
 def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
@@ -257,8 +247,7 @@ def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
     Returns the lowest-residual iterate seen.  Stops on a small relative
     residual or when the residual stops improving ('stagnated').
     """
-    data = _mat(matrix)
-    y = _check_rhs(data, y)
+    data, y = _operands(matrix, y)
     cols = data.shape[1]
     if not 0 <= k <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
@@ -278,9 +267,7 @@ def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
         proxy = data.T @ resid
         merged = np.union1d(_top_indices(proxy, min(2 * k, cols)),
                             np.flatnonzero(x))
-        coef, ridged = _lstsq(data[:, merged], y)
-        if ridged and "regularized" not in flags:
-            flags.append("regularized")
+        coef = _lstsq(data[:, merged], y, flags)
         full = np.zeros(cols)
         full[merged] = coef
         x = hard_threshold(full, k)
@@ -316,8 +303,7 @@ def lasso(matrix, y, lam, x0=None, max_iter=2000, tol=1e-9, lipschitz=None,
     floors the reachable gap near the float resolution of the
     objective, so gap_rtol much below 1e-8 may never fire.
     """
-    data = _mat(matrix)
-    y = _check_rhs(data, y)
+    data, y = _operands(matrix, y)
     cols = data.shape[1]
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
@@ -399,8 +385,7 @@ def bpdn(matrix, y, epsilon, eta=0.3, inner_iter=1000, tol=1e-10,
     An epsilon that stays unreachable at the smallest lambda is flagged
     'infeasible-epsilon'.
     """
-    data = _mat(matrix)
-    y = _check_rhs(data, y)
+    data, y = _operands(matrix, y)
     cols = data.shape[1]
     if epsilon < 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
@@ -613,12 +598,3 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
         points.append(PhasePoint(k=k, trials=trials, successes=wins,
                                  rate=wins / trials, ci_low=lo, ci_high=hi))
     return points
-
-
-def write_phase_csv(points, path):
-    lines = ["k,trials,successes,rate,ci_low,ci_high"]
-    for p in points:
-        lines.append("%d,%d,%d,%.12g,%.12g,%.12g"
-                     % (p.k, p.trials, p.successes, p.rate, p.ci_low, p.ci_high))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
-"""Shared helpers: canonical JSON and an order-preserving parallel map."""
+"""Shared helpers: canonical JSON, CSV dumps, frozen copies, parallel map."""
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,10 +55,29 @@ def _emit(obj, parts):
         raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
 
+def write_csv(path, header, fmt, rows):
+    """Write a header line, then one `fmt % row` line per row."""
+    lines = [header]
+    lines.extend(fmt % row for row in rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def frozen_copy(values, dtype=np.float64):
+    """Read-only copy of values as an array of dtype."""
+    arr = np.array(values, dtype=dtype, copy=True)
+    arr.flags.writeable = False
+    return arr
+
+
 def parallel_map(fn, items, threads=1):
-    """Map fn over items, optionally on a thread pool, preserving order."""
+    """Map fn over items, optionally on a thread pool, preserving order.
+
+    The pool never has more workers than items or CPU cores.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

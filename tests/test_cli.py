@@ -10,6 +10,7 @@ import pytest
 
 import cohaudit
 from cohaudit import EnsembleSpec, MeasurementMatrix, generate, save_matrix
+from cohaudit import cli
 from cohaudit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -241,6 +242,95 @@ def test_malformed_matrix_file_is_data_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("2,3\n1,0\n")
     assert run_cli(["audit", "--matrix", str(path)]) == 1
+
+
+def test_separate_sparsity_past_dictionary_is_data_error(capsys):
+    code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "4",
+                    "--nx", "10", "--ne", "1", "--trials", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_counts_below_one_are_usage_errors(capsys):
+    audit = ["audit", "--ensemble", "gaussian", "--rows", "10", "--cols", "12"]
+    assert run_cli(audit + ["--bins", "0"]) == 2
+    assert run_cli(audit + ["--threads", "0"]) == 2
+    assert run_cli(["verify", "--ensemble", "gaussian", "--rows", "10", "--cols", "12",
+                    "--k", "2", "--trials", "5", "--threads", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --bins: must be >= 1, got 0" in err
+    assert "argument --threads: must be >= 1, got -3" in err
+
+
+def test_library_value_error_is_data_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("not a cohaudit error")
+
+    monkeypatch.setattr(cli, "profile", fail)
+    assert run_cli(["audit", "--ensemble", "gaussian", "--rows", "10",
+                    "--cols", "12"]) == 1
+    assert capsys.readouterr().err == "error: not a cohaudit error\n"
+
+
+def test_unwritable_report_path_is_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "audit.json"
+    assert run_cli(["audit", "--ensemble", "gaussian", "--rows", "10",
+                    "--cols", "12", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def read_csv(path):
+    """Header names and rows of floats of a CSV dump."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
+
+
+def test_csv_dumps_agree_with_reports(tmp_path):
+    # Reports and CSVs both print floats at %.12g, so parsed values match
+    # exactly; a wrong CSV format string shows up as a mismatch.
+    def report(*argv):
+        out = tmp_path / "report.json"
+        assert run_cli(list(argv) + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    csv = tmp_path / "dump.csv"
+    rep = report("audit", "--ensemble", "gaussian", "--rows", "30", "--cols", "40",
+                 "--seed", "1", "--bins", "12", "--hist-csv", str(csv))
+    header, rows = read_csv(csv)
+    assert header == ["bin_lower", "bin_upper", "count"]
+    assert rows == rep["profile"]["histogram"]
+
+    rep = report("phase", "--ensemble", "gaussian", "--rows", "40", "--cols", "80",
+                 "--seed", "3", "--k-list", "2,8", "--solver", "omp",
+                 "--trials", "12", "--csv", str(csv))
+    header, rows = read_csv(csv)
+    assert rows == [[p[name] for name in header] for p in rep["points"]]
+
+    rep = report("separate", "--preset", "spikes-fourier", "--n", "32", "--nx", "2",
+                 "--ne", "3", "--trials", "4", "--noise", "0.01", "--epsilon", "0.1",
+                 "--csv", str(csv))
+    header, rows = read_csv(csv)
+    cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    assert cols["trial"] == [0.0, 1.0, 2.0, 3.0]
+    for column, rate in (("x_support_ok", "x_support_rate"),
+                         ("e_support_ok", "e_support_rate"),
+                         ("converged", "converged_rate")):
+        assert float("%.12g" % (sum(cols[column]) / len(rows))) == rep[rate]
+    for name in ("x_rel_error", "e_rel_error"):
+        assert max(cols[name]) == rep[name + "_max"]
+
+    ratios, spectral = tmp_path / "r.csv", tmp_path / "s.csv"
+    rep = report("verify", "--ensemble", "gaussian", "--rows", "40", "--cols", "80",
+                 "--seed", "5", "--k", "3", "--trials", "120", "--spectral-trials", "90",
+                 "--ratios-csv", str(ratios), "--spectral-csv", str(spectral))
+    header, rows = read_csv(ratios)
+    assert header == ["value"] and len(rows) == rep["trials"] == 120
+    assert np.mean(rows) == pytest.approx(rep["ratio_mean"], rel=1e-10)
+    header, rows = read_csv(spectral)
+    assert header == ["value"] and len(rows) == rep["spectral_trials"] == 90
+    assert max(rows) == [rep["spectral_max"]]
 
 
 def declared_scripts(path=PYPROJECT):

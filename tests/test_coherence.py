@@ -13,7 +13,7 @@ from cohaudit import (
     normality_check,
     profile,
 )
-from cohaudit.coherence import write_histogram_csv
+from cohaudit.util import write_csv
 
 
 def test_sample_small_oracle():
@@ -132,7 +132,7 @@ def test_histogram_csv(tmp_path):
     m = generate(EnsembleSpec("gaussian", 30, 20, 3))
     prof = profile(coherence_sample(m), bins=8)
     path = tmp_path / "hist.csv"
-    write_histogram_csv(prof, path)
+    write_csv(path, "bin_lower,bin_upper,count", "%.12g,%.12g,%d", prof.histogram)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_lower,bin_upper,count"
     assert len(lines) == 9

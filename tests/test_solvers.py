@@ -327,7 +327,7 @@ def test_phase_curve_validates_k_list(gauss_100x500):
 def test_phase_curve_deterministic_across_threads(gauss_100x500):
     a = phase_curve(gauss_100x500, [2, 8], "omp", 40, 0.0, 7, threads=1)
     b = phase_curve(gauss_100x500, [2, 8], "omp", 40, 0.0, 7, threads=4)
-    assert [p.as_dict() for p in a] == [p.as_dict() for p in b]
+    assert a == b
 
 
 def test_phase_curve_fresh_matrix_mode():
