@@ -141,7 +141,7 @@ def run_verify(args, parser):
                            coeff_model=args.coeff_model, threads=args.threads)
     g_energy = rip_width(k, sigma, "energy").g
     band = band_frequency(ratios, g_energy)
-    spectral_trials = args.spectral_trials or args.trials
+    spectral_trials = args.trials if args.spectral_trials is None else args.spectral_trials
     spectral = sample_spectral(matrix, k, spectral_trials, args.seed,
                                threads=args.threads)
     g_spectral = rip_width(k, sigma, "spectral").g
@@ -301,7 +301,7 @@ def build_parser():
     p_verify.add_argument("--k", type=int, required=True, help="support size")
     p_verify.add_argument("--trials", type=_positive_int, default=2000,
                           help="energy-ratio trials (default 2000)")
-    p_verify.add_argument("--spectral-trials", type=int, default=None,
+    p_verify.add_argument("--spectral-trials", type=_positive_int, default=None,
                           help="spectral trials (default: same as --trials)")
     p_verify.add_argument("--coeff-model", choices=("gaussian", "rademacher"),
                           default="gaussian")

@@ -7,6 +7,7 @@ guarantee downstream.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,29 +17,70 @@ from .util import frozen_copy
 
 NORM_TOL = 1e-9
 
-# Above this many columns the Gram matrix is accumulated in column blocks
-# instead of being formed whole.
-DEFAULT_BLOCK_COLS = 4096
+# Gram entries held per strip (16 MB of float64).  Strips are
+# max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^21 is one strip.
+_STRIP_BUDGET = 2**21
 
 HIST_BIN_CAP = 512
 
 # Minimum pair count before moment-based normality diagnostics mean much.
 _NORMALITY_MIN = 100
 
+_Stats = namedtuple("_Stats", "lo hi mean m2 m4 counts")  # counts None without bins
 
-@dataclass(frozen=True)
+
+def _strip_stats(strips, count, bins=None):
+    """_Stats of the values strips() yields, holding one strip at a time.
+
+    Pass 1 sums and takes extremes; pass 2 the central sums and histogram.
+    The element expressions are the whole-array ones: one strip, same bits.
+    """
+    # map, unlike a for loop, keeps no strip alive while the next is made
+    sums, los, his = np.array([*map(lambda v: (np.sum(v), np.min(v), np.max(v)), strips())]).T
+    mean, lo, hi = float(np.sum(sums)) / count, float(np.min(los)), float(np.max(his))
+    s2 = s4 = 0.0
+    counts = None if bins is None else np.zeros(bins, dtype=np.int64)
+    if counts is not None and not hi > lo:
+        counts[-1] = count  # all values equal: the one point sits in the last bin
+    for v in strips():
+        if counts is not None and hi > lo:
+            counts += np.histogram(v, bins=bins, range=(lo, hi))[0]
+        v = v - mean
+        s2 += float(np.sum(v ** 2))
+        s4 += float(np.sum(v ** 4))
+        del v
+    return _Stats(lo, hi, mean, s2 / count, s4 / count, counts)
+
+
 class CoherenceSample:
-    """All pairwise inner products <d_i, d_j>, i < j, lexicographic order."""
+    """All pairwise inner products <d_i, d_j>, i < j, lexicographic order.
 
-    values: np.ndarray
-    source_dims: tuple
+    A sample of a matrix keeps the matrix, not the N(N-1)/2 pairs, and
+    reads them one strip of Gram rows at a time; `values` materialises
+    them.  A sample built from explicit values is a single strip.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozen_copy(self.values))
+    def __init__(self, values, source_dims):
+        values = frozen_copy(values)
+        self._strips, self._count = (lambda: iter((values,))), values.size
+        self.source_dims = tuple(source_dims)
+        self._kept = None
+
+    count = property(lambda self: self._count, doc="Number of pairs.")
 
     @property
-    def count(self):
-        return int(self.values.size)
+    def values(self):
+        """Every pair, as one read-only array."""
+        v = np.concatenate([np.zeros(0), *self._strips()])
+        v.flags.writeable = False
+        return v
+
+    def _two_pass(self, bins=None):
+        """_strip_stats of the pairs, kept.  bins=None takes the kept result
+        whatever its bins, so profile then normality_check read the strips twice."""
+        if self._kept is None or bins not in (None, self._kept[0]):
+            self._kept = (bins, _strip_stats(self._strips, self._count, bins))
+        return self._kept[1]
 
 
 @dataclass(frozen=True)
@@ -79,27 +121,23 @@ def require_normalized(matrix, name="matrix"):
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
 
 
-def coherence_sample(matrix, block_cols=DEFAULT_BLOCK_COLS):
-    """Collect the N(N-1)/2 pairwise column inner products.
+def coherence_sample(matrix, block_cols=None):
+    """The N(N-1)/2 pairwise column inner products, read in Gram strips.
 
     Pairs are ordered lexicographically: (0,1), (0,2), ..., (1,2), ...
-    Requires unit-norm columns.
+    A strip spans block_cols Gram rows (default: a fixed budget of
+    entries per strip).  Requires unit-norm columns.
     """
     require_normalized(matrix)
-    n, N = matrix.rows, matrix.cols
-    data = matrix.data
-    if N <= block_cols:
-        gram = data.T @ data
-        values = gram[np.triu_indices(N, k=1)]
-    else:
-        chunks = []
-        for a in range(0, N, block_cols):
-            b = min(a + block_cols, N)
-            part = data[:, a:b].T @ data[:, a:]
-            for r in range(b - a):
-                chunks.append(part[r, r + 1:])
-        values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return CoherenceSample(values=values, source_dims=(n, N))
+    data, N = matrix.data, matrix.cols
+    w = block_cols or max(1, _STRIP_BUDGET // N)
+    sample = CoherenceSample((), data.shape)
+    # Gram rows a..a+w-1 from column a on, keeping column > row (row N-1 has none)
+    sample._strips = lambda: (
+        (data[:, a:a + w].T @ data[:, a:])[np.arange(N - a) > np.arange(min(w, N - a))[:, None]]
+        for a in range(0, N - 1, w))
+    sample._count = N * (N - 1) // 2
+    return sample
 
 
 def profile(sample, bins=None):
@@ -116,26 +154,12 @@ def profile(sample, bins=None):
         bins = min(math.ceil(math.sqrt(count)), HIST_BIN_CAP)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    v = sample.values
-    mean = float(np.mean(v))
-    std = float(np.sqrt(np.mean((v - mean) ** 2)))
-    lo, hi = float(np.min(v)), float(np.max(v))
-    edges = np.linspace(lo, hi, bins + 1)
-    if hi > lo:
-        counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
-    else:
-        # all values identical: the single point sits in the last bin
-        counts = np.zeros(bins, dtype=int)
-        counts[-1] = count
-    hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
+    st = sample._two_pass(bins)
+    edges = np.linspace(st.lo, st.hi, bins + 1)
+    hist = tuple((float(edges[i]), float(edges[i + 1]), int(st.counts[i]))
                  for i in range(bins))
-    return CoherenceProfile(
-        mutual_coherence=float(np.max(np.abs(v))),
-        mean=mean,
-        std=std,
-        histogram=hist,
-        sample_count=count,
-    )
+    return CoherenceProfile(mutual_coherence=max(abs(st.lo), abs(st.hi)), mean=st.mean,
+                            std=math.sqrt(st.m2), histogram=hist, sample_count=count)
 
 
 def normality_check(sample, z_mean_max=4.0, kurtosis_max=0.5):
@@ -151,26 +175,23 @@ def normality_check(sample, z_mean_max=4.0, kurtosis_max=0.5):
         raise InsufficientDataError(
             f"normality check needs >= {_NORMALITY_MIN} pairs, got {count}")
     n = sample.source_dims[0]
-    v = sample.values
-    mean = float(np.mean(v))
-    var = float(np.mean((v - mean) ** 2))
-    if var == 0.0:
+    st = sample._two_pass()
+    if st.m2 == 0.0:
         return FitReport(z_mean=None, var_ratio=0.0, excess_kurtosis=None,
                          passed=False, degenerate=True)
-    std = math.sqrt(var)
-    z_mean = mean / (std / math.sqrt(count))
-    m4 = float(np.mean((v - mean) ** 4))
-    excess = m4 / var**2 - 3.0
+    z_mean = st.mean / (math.sqrt(st.m2) / math.sqrt(count))
+    excess = st.m4 / st.m2**2 - 3.0
     passed = abs(z_mean) <= z_mean_max and abs(excess) <= kurtosis_max
-    return FitReport(z_mean=z_mean, var_ratio=var * n, excess_kurtosis=excess,
+    return FitReport(z_mean=z_mean, var_ratio=st.m2 * n, excess_kurtosis=excess,
                      passed=passed)
 
 
-def cross_coherence(left, right, block_cols=DEFAULT_BLOCK_COLS):
+def cross_coherence(left, right, block_cols=None):
     """Statistics of the inner products between two dictionaries' columns.
 
-    Covers all cols(left) * cols(right) ordered pairs.  Either side may
-    be empty, giving a zero profile with sample_count 0.
+    Covers all cols(left) * cols(right) ordered pairs, read in strips of
+    block_cols left columns.  Either side may be empty, giving a zero
+    profile with sample_count 0.
     """
     if left.rows != right.rows:
         raise DimensionError(
@@ -180,16 +201,8 @@ def cross_coherence(left, right, block_cols=DEFAULT_BLOCK_COLS):
     total = left.cols * right.cols
     if total == 0:
         return CrossCoherenceProfile(max_cross=0.0, std=0.0, mean=0.0, sample_count=0)
-    peak = 0.0
-    s1 = 0.0
-    s2 = 0.0
-    for a in range(0, left.cols, block_cols):
-        b = min(a + block_cols, left.cols)
-        part = left.data[:, a:b].T @ right.data
-        peak = max(peak, float(np.max(np.abs(part))))
-        s1 += float(np.sum(part))
-        s2 += float(np.sum(part * part))
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    return CrossCoherenceProfile(max_cross=peak, std=math.sqrt(var),
-                                 mean=mean, sample_count=total)
+    w = block_cols or max(1, _STRIP_BUDGET // right.cols)
+    st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data).ravel()
+                               for a in range(0, left.cols, w)), total)
+    return CrossCoherenceProfile(max_cross=max(abs(st.lo), abs(st.hi)),
+                                 std=math.sqrt(st.m2), mean=st.mean, sample_count=total)

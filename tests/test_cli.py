@@ -264,6 +264,14 @@ def test_counts_below_one_are_usage_errors(capsys):
     assert "argument --threads: must be >= 1, got -3" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_spectral_trials_below_one_is_usage_error(capsys, count):
+    # 0 used to fall back to --trials, and -5 ended as data error 1
+    assert run_cli(["verify", "--ensemble", "gaussian", "--rows", "10", "--cols", "12",
+                    "--k", "2", "--trials", "5", "--spectral-trials", count]) == 2
+    assert f"argument --spectral-trials: must be >= 1, got {count}" in capsys.readouterr().err
+
+
 def test_library_value_error_is_data_error(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ValueError("not a cohaudit error")

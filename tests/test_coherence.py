@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohaudit import (
+    CoherenceSample,
     DimensionError,
     EnsembleSpec,
     InsufficientDataError,
@@ -11,6 +16,7 @@ from cohaudit import (
     cross_coherence,
     generate,
     normality_check,
+    normalize_columns,
     profile,
 )
 from cohaudit.util import write_csv
@@ -207,3 +213,68 @@ def test_cross_blockwise_matches_direct():
     blocked = cross_coherence(a, b, block_cols=4)
     assert np.isclose(direct.max_cross, blocked.max_cross, atol=1e-15)
     assert np.isclose(direct.std, blocked.std, atol=1e-12)
+
+
+def test_cross_std_nearly_parallel_nonnegative():
+    # Nearly parallel columns: the spread is ~2e-11 around a mean of ~1,
+    # which s2/n - mean^2 cancels to 0.
+    rng = np.random.default_rng(0)
+    d, b = (normalize_columns(MeasurementMatrix(1.0 + 1e-5 * rng.standard_normal((50, c))))
+            for c in (10, 12))
+    gram = d.data.T @ b.data
+    prof = cross_coherence(d, b)
+    assert 1e-11 < prof.std == pytest.approx(np.std(gram), rel=1e-9)
+    assert prof.mean == pytest.approx(np.mean(gram), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=st.sampled_from(["gaussian", "bernoulli"]), rows=st.integers(2, 12),
+       cols=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_streamed_statistics_match_materialised(ensemble, rows, cols, seed, data):
+    block = data.draw(st.integers(1, cols))
+    bins = data.draw(st.none() | st.integers(1, 30))
+    streamed = coherence_sample(generate(EnsembleSpec(ensemble, rows, cols, seed)),
+                                block_cols=block)
+    whole = CoherenceSample(values=streamed.values, source_dims=(rows, cols))
+    a, b = profile(streamed, bins=bins), profile(whole, bins=bins)
+    one_strip = block >= cols - 1
+    assert a == b or not one_strip
+    assert (a.histogram, a.mutual_coherence, a.sample_count) == \
+        (b.histogram, b.mutual_coherence, b.sample_count)
+    close = dict(rel=1e-12, abs=1e-15)
+    assert (a.mean, a.std) == pytest.approx((b.mean, b.std), **close)
+    if whole.count < 100:
+        with pytest.raises(InsufficientDataError):
+            normality_check(streamed)
+        return
+    fa, fb = normality_check(streamed), normality_check(whole)
+    assert fa == fb or not one_strip
+    assert (fa.passed, fa.degenerate) == (fb.passed, fb.degenerate)
+    assert fa.var_ratio == pytest.approx(fb.var_ratio, **close)
+    if not fb.degenerate:
+        assert (fa.z_mean, fa.excess_kurtosis) == pytest.approx(
+            (fb.z_mean, fb.excess_kurtosis), **close)
+
+
+def test_profile_and_normality_share_two_gram_passes():
+    passes = []
+    s = coherence_sample(generate(EnsembleSpec("gaussian", 20, 40, 3)), block_cols=9)
+    strips = s._strips
+    s._strips = lambda: passes.append(1) or strips()
+    profile(s, bins=7)
+    normality_check(s)
+    assert len(passes) == 2
+
+
+def test_statistics_memory_below_half_the_pair_array():
+    # 17,997,000 pairs: 137 MiB as one array.  One strip peaks at about 34 MiB.
+    m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
+    tracemalloc.start()
+    try:
+        s = coherence_sample(m)
+        profile(s)
+        normality_check(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * s.count / 2
