@@ -38,7 +38,7 @@ class SeparationProblem:
         if y.size != self.left.rows:
             raise DimensionError(
                 f"y has length {y.size}, dictionaries have {self.left.rows} rows")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.n_x < 0 or self.n_e < 0:
             raise DomainError(f"sparsities must be >= 0, got {self.n_x}, {self.n_e}")
@@ -51,7 +51,6 @@ class SeparationResult:
     e_hat: SparseSignal
     feature_left: np.ndarray
     feature_right: np.ndarray
-    condition: object
     solver: object
 
 
@@ -63,7 +62,6 @@ class SeparationTrial:
     e_support_ok: bool
     residual_norm: float
     converged: bool
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -104,14 +102,15 @@ def separation_feasibility(left, right, n_x, n_e):
     return separation_condition(sl, sr, sc, max(n_x, 1), max(n_e, 1))
 
 
-def separate(problem, **solver_options):
+def separate(problem):
     """Recover both sparse components from one joint l1 solve.
 
     With an empty right dictionary this reduces exactly to bpdn on the
-    left dictionary (same iterate sequence).
+    left dictionary (same path).  The feasibility margin depends only on
+    the dictionary pair and the sparsities: separation_feasibility.
     """
     joint = joint_dictionary(problem.left, problem.right)
-    res = bpdn(joint, problem.y, problem.epsilon, **solver_options)
+    res = bpdn(joint, problem.y, problem.epsilon)
     split = problem.left.cols
     x_dense = res.estimate[:split]
     e_dense = res.estimate[split:]
@@ -121,8 +120,6 @@ def separate(problem, **solver_options):
         feature_left=problem.left.data @ x_dense,
         feature_right=(problem.right.data @ e_dense if problem.right.cols
                        else np.zeros(problem.left.rows)),
-        condition=separation_feasibility(problem.left, problem.right,
-                                         problem.n_x, problem.n_e),
         solver=res,
     )
 
@@ -149,14 +146,16 @@ def _plant(rng, cols, k):
 
 
 def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma,
-                   epsilon, support_tol, solver_options):
+                   epsilon, support_tol):
     """Mix the planted pair (x, e), add noise, separate and score."""
+    if not noise_sigma >= 0:
+        raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
     y = left.data @ x + (right.data @ e if right.cols else 0.0)
     if noise_sigma > 0:
         y = y + noise_sigma * stream(seed, noise_tag).standard_normal(left.rows)
     problem = SeparationProblem(left=left, right=right, y=y, epsilon=epsilon,
                                 n_x=n_x, n_e=n_e)
-    result = separate(problem, **solver_options)
+    result = separate(problem)
     if support_tol is None:
         support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
     x_hat = result.x_hat.to_dense()
@@ -174,12 +173,11 @@ def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma,
         e_support_ok=_support_match(e_hat, np.flatnonzero(e), support_tol),
         residual_norm=result.solver.residual_norm,
         converged=result.solver.converged,
-        margin=result.condition.margin,
     )
 
 
 def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
-                     epsilon=1e-6, support_tol=None, **solver_options):
+                     epsilon=1e-6, support_tol=None):
     """One planted separation experiment.
 
     Draws n_x atoms from the left dictionary and n_e from the right with
@@ -194,12 +192,11 @@ def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
     x = _plant(stream(seed, "separation-x", n_x), left.cols, n_x)
     e = _plant(stream(seed, "separation-e", n_e), right.cols, n_e)
     return _planted_trial(left, right, x, e, n_x, n_e, seed, "separation-noise",
-                          noise_sigma, epsilon, support_tol, solver_options)
+                          noise_sigma, epsilon, support_tol)
 
 
 def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
-                          corruption_scale=10.0, epsilon=None, support_tol=None,
-                          **solver_options):
+                          corruption_scale=10.0, epsilon=None, support_tol=None):
     """Recovery under gross measurement corruption.
 
     The measurement picks up n_corruptions spike errors of typical size
@@ -222,8 +219,7 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
     if epsilon is None:
         epsilon = 1.1 * noise_sigma * math.sqrt(n) if noise_sigma > 0 else 0.0
     return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, k, n_corruptions,
-                          seed, "robust-noise", noise_sigma, epsilon, support_tol,
-                          solver_options)
+                          seed, "robust-noise", noise_sigma, epsilon, support_tol)
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):

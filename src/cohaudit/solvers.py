@@ -1,7 +1,7 @@
 """Sparse recovery solvers and Monte Carlo recovery harnesses.
 
-Greedy (omp, cosamp), thresholding (iht), and convex (lasso / bpdn via
-monotone FISTA with a discrepancy search over lambda).  All solvers are
+Greedy (omp, cosamp), thresholding (iht), and convex (lasso by monotone
+FISTA, bpdn by the exact lasso homotopy path).  All solvers are
 deterministic functions of their inputs; randomness only enters through
 the trial harnesses, which use keyed streams.
 """
@@ -24,6 +24,10 @@ SIGNAL_MODELS = ("gaussian", "rademacher")
 # Relative reconstruction error below which a noiseless trial counts as
 # an exact recovery.
 NOISELESS_SUCCESS_TOL = 1e-4
+
+# lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
+_GAP_RTOL = 1e-6
+_GAP_CHECK = 10
 
 
 @dataclass(frozen=True)
@@ -287,32 +291,26 @@ def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
                        converged=converged, flags=tuple(flags))
 
 
-def lasso(matrix, y, lam, x0=None, max_iter=2000, tol=1e-9, lipschitz=None,
-          gap_rtol=1e-6, gap_check=10):
-    """Minimize 0.5 ||y - M x||^2 + lam ||x||_1 by monotone FISTA.
+def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
+    """Minimize 0.5 ||y - M x||^2 + lam ||x||_1 by monotone FISTA from x = 0.
 
-    The accepted objective never increases (a worse accelerated step
-    falls back to the previous iterate).  The objective trace is kept in
-    info['objective_trace'].
+    The iterative reference for bpdn's exact path.  The accepted objective
+    never increases (a worse accelerated step falls back to the previous
+    iterate).  The objective trace is kept in info['objective_trace'].
 
     Two stopping criteria: iterate movement below tol (catches exact
     fixed points immediately), and a duality-gap certificate checked
-    every gap_check iterations.  The gap uses the scaled residual as the
-    dual point; rel gap <= gap_rtol bounds the objective suboptimality
-    directly, which the movement heuristic cannot.  Monotone clamping
-    floors the reachable gap near the float resolution of the
-    objective, so gap_rtol much below 1e-8 may never fire.
+    every _GAP_CHECK iterations.  The gap uses the scaled residual as the
+    dual point; rel gap <= _GAP_RTOL bounds the objective suboptimality
+    directly, which the movement heuristic cannot.
     """
     data, y = _operands(matrix, y)
     cols = data.shape[1]
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
-    if lipschitz is None:
-        nrm = operator_norm(data)
-        lipschitz = max(nrm * nrm, np.finfo(float).tiny)
-    x = np.zeros(cols) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x.size != cols:
-        raise DimensionError(f"x0 has length {x.size}, expected {cols}")
+    nrm = operator_norm(data)
+    lipschitz = max(nrm * nrm, np.finfo(float).tiny)
+    x = np.zeros(cols)
 
     def objective(v, resid):
         return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(v)))
@@ -327,7 +325,7 @@ def lasso(matrix, y, lam, x0=None, max_iter=2000, tol=1e-9, lipschitz=None,
 
     z = x.copy()
     t_acc = 1.0
-    fx = objective(x, y - data @ x)
+    fx = objective(x, y)
     trace = [fx]
     converged = False
     gap = None
@@ -355,9 +353,9 @@ def lasso(matrix, y, lam, x0=None, max_iter=2000, tol=1e-9, lipschitz=None,
         if moved <= tol * max(1.0, float(np.linalg.norm(x))):
             converged = True
             break
-        if it % gap_check == 0:
+        if it % _GAP_CHECK == 0:
             gap = rel_gap(x, fx)
-            if gap <= gap_rtol:
+            if gap <= _GAP_RTOL:
                 converged = True
                 break
     resid = y - data @ x
@@ -368,103 +366,109 @@ def lasso(matrix, y, lam, x0=None, max_iter=2000, tol=1e-9, lipschitz=None,
                              "objective_trace": trace})
 
 
-def bpdn(matrix, y, epsilon, eta=0.3, inner_iter=1000, tol=1e-10,
-         bisect_iter=40, resid_match=0.02, bp_resid_tol=1e-8):
+def bpdn(matrix, y, epsilon):
     """Basis pursuit denoising: min ||x||_1 s.t. ||y - M x|| <= epsilon.
 
-    Solved as a warm-started lasso path.  lambda walks down geometrically
-    (factor eta) from the largest useful value; warm starts keep the
-    iterates sparse, which is what makes the small-lambda solves
-    converge.  The walk stops when the residual matches epsilon within
-    resid_match; if it jumps past the match window, a warm geometric
-    bisection refines lambda inside the last step.
+    Solved exactly on the lasso path x(lam) (homotopy: Osborne, Presnell &
+    Turlach 2000; Donoho & Tsaig 2008), which is linear between breakpoints
+    where an atom joins the active set or an active coefficient crosses
+    zero; ||y - M x(lam)|| shrinks as lam falls.  The path runs from
+    lam = max |M^T y| (x = 0) to where the residual reaches epsilon, a
+    closed-form root in one segment, or to the basis pursuit endpoint
+    lam = 0.  Each breakpoint re-solves the active Gram system, so rounding
+    does not accumulate.
 
-    epsilon = 0 asks for the basis pursuit limit and walks lambda down
-    until the residual falls below bp_resid_tol * ||y||.  epsilon >=
-    ||y|| returns the zero vector, which is feasible and l1-minimal.
-    An epsilon that stays unreachable at the smallest lambda is flagged
-    'infeasible-epsilon'.
+    epsilon >= ||y|| returns the zero vector, which is feasible and
+    l1-minimal.  A path that ends above epsilon is flagged
+    'infeasible-epsilon'; a singular active Gram ('singular-gram') or over
+    10 breakpoints per column ('stalled') returns the last breakpoint.
+    info['lam'] is the returned point's lambda; iterations counts breakpoints.
     """
     data, y = _operands(matrix, y)
-    cols = data.shape[1]
-    if epsilon < 0:
+    rows, cols = data.shape
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if not 0 < eta < 1:
-        raise DomainError(f"eta must be in (0, 1), got {eta}")
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0 or epsilon >= ynorm:
         return SolveResult(estimate=np.zeros(cols), iterations=0,
                            residual_norm=ynorm, converged=True,
                            flags=("zero-solution",) if epsilon >= ynorm and ynorm > 0 else (),
                            info={"lam": 0.0})
-    nrm = operator_norm(data)
-    lipschitz = max(nrm * nrm, np.finfo(float).tiny)
-    lam_max = float(np.max(np.abs(data.T @ y)))
-    if lam_max == 0.0:
+    corr = data.T @ y
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    if not lam > 0.0:
         # y is orthogonal to every column; nothing can reduce the residual
         return SolveResult(estimate=np.zeros(cols), iterations=0,
                            residual_norm=ynorm, converged=False,
                            flags=("infeasible-epsilon",), info={"lam": 0.0})
-    lo_target = (1.0 - resid_match) * epsilon
-    hi_target = (1.0 + resid_match) * epsilon
-    state = {"warm": None, "total": 0, "best": None}
-
-    def solve(lam):
-        res = lasso(data, y, lam, x0=state["warm"], max_iter=inner_iter,
-                    tol=tol, lipschitz=lipschitz)
-        state["warm"] = res.estimate
-        state["total"] += res.iterations
-        best = state["best"]
-        if epsilon > 0:
-            better = best is None or (abs(res.residual_norm - epsilon)
-                                      < abs(best.residual_norm - epsilon))
+    active = [int(np.argmax(np.abs(corr)))]
+    signs = [float(np.sign(corr[active[0]]))]
+    # the last event may not be undone at once: a joining coefficient starts
+    # at zero, and a dropped atom sits on the boundary it left
+    joined, left = active[0], None
+    x, resid, lam_x, flags, reached = np.zeros(cols), y, lam, [], False
+    for steps in range(1, 10 * cols + 1):
+        sub, s = data[:, active], np.array(signs)
+        try:
+            sol = np.linalg.solve(sub.T @ sub, np.column_stack([sub.T @ y - lam * s, s]))
+        except np.linalg.LinAlgError:
+            sol = np.full((len(active), 2), np.nan)
+        if not np.all(np.isfinite(sol)):
+            flags.append("singular-gram")
+            break
+        coef, direction = sol.T
+        x = np.zeros(cols)
+        x[active] = coef
+        resid, lam_x = y - sub @ coef, lam
+        if lam == 0.0:
+            break
+        # along the segment x_A += g d, r -= g v, c -= g a and lam -= g
+        v = sub @ direction
+        c, a = (data.T @ np.column_stack([resid, v])).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = -coef / direction
+            # |c_j - g a_j| = lam - g from above or below; a column parallel
+            # to the active span has a zero denominator and never joins
+            up = np.where(1.0 - a > 1e-12, (lam - c) / (1.0 - a), np.inf)
+            down = np.where(1.0 + a > 1e-12, (lam + c) / (1.0 + a), np.inf)
+        for g in (drop, up, down):
+            g[~(g > 0)] = np.inf
+        if joined is not None:
+            drop[active.index(joined)] = np.inf
+        if left is not None:
+            (up if left[1] > 0 else down)[left[0]] = np.inf
+        join = np.minimum(up, down)
+        join[active] = np.inf
+        i, j = int(np.argmin(drop)), int(np.argmin(join))
+        # once the active columns span R^rows no atom can join
+        gamma = min(drop[i], join[j] if len(active) < rows else np.inf)
+        if gamma >= (1.0 - 1e-9) * lam:
+            gamma = lam  # an event within rounding of the endpoint is the endpoint
+        if epsilon > 0.0 and np.linalg.norm(resid - gamma * v) <= epsilon:
+            # smaller root of ||r - g v||^2 = epsilon^2, in cancellation-free form
+            excess = float(resid @ resid) - epsilon * epsilon
+            rv, vv = float(resid @ v), float(v @ v)
+            root = excess / (rv + math.sqrt(max(rv * rv - vv * excess, 0.0)))
+            x[active] = coef + root * direction
+            resid, lam_x, reached = y - sub @ x[active], lam - root, True
+            break
+        lam -= gamma
+        if lam == 0.0:
+            continue
+        if gamma == drop[i]:
+            joined, left = None, (active.pop(i), signs.pop(i))
         else:
-            better = best is None or res.residual_norm < best.residual_norm
-        if better:
-            state["best"] = res
-        return res
-
-    def finish(res, matched):
-        flags = list(res.flags)
-        if not matched and res.residual_norm > max(epsilon, bp_resid_tol * ynorm):
-            flags.append("infeasible-epsilon")
-        return SolveResult(estimate=res.estimate, iterations=state["total"],
-                           residual_norm=res.residual_norm,
-                           converged=matched and res.converged,
-                           flags=tuple(flags), info=dict(res.info))
-
-    lam_floor = 1e-16 * lam_max
-    lam_prev = lam_max
-    lam = lam_max
-    bracket = None
-    while lam > lam_floor:
-        lam *= eta
-        res = solve(lam)
-        if epsilon == 0.0:
-            if res.residual_norm <= bp_resid_tol * ynorm:
-                return finish(res, True)
-        else:
-            if lo_target <= res.residual_norm <= hi_target:
-                return finish(res, True)
-            if res.residual_norm < lo_target:
-                bracket = (lam, lam_prev)
-                break
-        lam_prev = lam
-    if bracket is None:
-        # walked to the floor without reaching the target
-        return finish(state["best"], False)
-    lo, hi = bracket
-    for _ in range(bisect_iter):
-        lam = math.sqrt(lo * hi)
-        res = solve(lam)
-        if res.residual_norm > hi_target:
-            hi = lam
-        elif res.residual_norm < lo_target:
-            lo = lam
-        else:
-            return finish(res, True)
-    return finish(state["best"],
-                  lo_target <= state["best"].residual_norm <= hi_target)
+            joined, left = j, None
+            active.append(j)
+            signs.append(1.0 if up[j] <= down[j] else -1.0)
+    else:
+        flags.append("stalled")
+    rnorm = float(np.linalg.norm(resid))
+    reached = reached or rnorm <= max(epsilon, 1e-9 * ynorm)
+    if not reached and not flags:
+        flags.append("infeasible-epsilon")
+    return SolveResult(estimate=x, iterations=steps, residual_norm=rnorm,
+                       converged=reached, flags=tuple(flags), info={"lam": lam_x})
 
 
 def _draw_signal(rng, cols, k, model):
@@ -491,9 +495,8 @@ def _run_solver(matrix, y, k, solver, noise_sigma, options):
     if solver == "cosamp":
         return cosamp(matrix, y, k, **opts)
     if solver == "bpdn":
-        if "epsilon" not in opts:
-            n = matrix.rows if isinstance(matrix, MeasurementMatrix) else matrix.shape[0]
-            opts["epsilon"] = 1.1 * noise_sigma * math.sqrt(n) if noise_sigma > 0 else 0.0
+        opts.setdefault("epsilon", 1.1 * noise_sigma * math.sqrt(matrix.rows)
+                        if noise_sigma > 0 else 0.0)
         return bpdn(matrix, y, **opts)
     raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
 
@@ -506,7 +509,7 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None,
     means the estimated support (entries above support_tol, default
     10 * noise_sigma) matches the true support exactly.
     """
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
     cols = matrix.cols
     if not 0 <= k <= cols:

@@ -1,17 +1,22 @@
 import importlib.metadata
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohaudit
-from cohaudit import EnsembleSpec, MeasurementMatrix, generate, save_matrix
+from cohaudit import ENSEMBLES, EnsembleSpec, MeasurementMatrix, generate, save_matrix
 from cohaudit import cli
 from cohaudit.cli import main
+from cohaudit.solvers import SOLVERS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -251,6 +256,55 @@ def test_separate_sparsity_past_dictionary_is_data_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--epsilon", "nan")])
+def test_separate_bad_noise_or_epsilon_is_data_error(flag, value, capsys):
+    code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1",
+                    "--ne", "1", "--trials", "2", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+FUZZ_VALUES = st.sampled_from(["-1", "0", "0.01", "nan", "inf"])
+
+
+@st.composite
+def cli_argv(draw):
+    """A tiny-size invocation of one of the four subcommands, valid or not."""
+    command = draw(st.sampled_from(["audit", "verify", "phase", "separate"]))
+    trials = str(draw(st.integers(1, 4)))
+    seed = str(draw(st.integers(0, 3)))
+    if command == "separate":
+        n = draw(st.integers(1, 12))
+        k = st.integers(-1, n + 2)
+        return ["separate", "--preset", "spikes-fourier", "--n", str(n),
+                "--nx", str(draw(k)), "--ne", str(draw(k)), "--trials", trials,
+                "--noise", draw(FUZZ_VALUES), "--epsilon", draw(FUZZ_VALUES),
+                "--seed", seed]
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    argv = [command, "--ensemble", draw(st.sampled_from(ENSEMBLES)), "--rows", str(rows),
+            "--cols", str(cols), "--seed", seed]
+    k = st.integers(-1, cols + 2)
+    if command == "verify":
+        argv += ["--k", str(draw(k)), "--trials", trials]
+    elif command == "phase":
+        k_list = sorted(set(draw(st.lists(k, min_size=1, max_size=4))))
+        argv += ["--k-list", ",".join(map(str, k_list)), "--trials", trials,
+                 "--solver", draw(st.sampled_from(SOLVERS)), "--noise", draw(FUZZ_VALUES)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_counts_below_one_are_usage_errors(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohaudit import (
     DimensionError,
@@ -256,6 +258,72 @@ def test_bpdn_infeasible_epsilon_flagged():
     res = bpdn(m, y, 1e-6)
     assert "infeasible-epsilon" in res.flags
     assert not res.converged
+
+
+def lasso_objective(data, y, x, lam):
+    r = y - data @ x
+    return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), extra=st.integers(0, 6),
+       frac=st.floats(0.01, 0.99))
+def test_bpdn_exact_against_kkt_and_fista(seed, rows, extra, frac):
+    # rows <= cols: a gaussian dictionary then spans R^rows, so every
+    # epsilon in (0, ||y||) is reachable
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((rows, rows + extra))
+    data /= np.linalg.norm(data, axis=0)
+    y = rng.standard_normal(rows)
+    eps = frac * float(np.linalg.norm(y))
+    res = bpdn(data, y, eps)
+    assert res.converged and not res.flags
+    x, lam = res.estimate, res.info["lam"]
+    r = y - data @ x
+    assert abs(float(np.linalg.norm(r)) - eps) <= 1e-9 * eps
+    assert abs(res.residual_norm - eps) <= 1e-9 * eps
+    # KKT certificate of the lasso at lam
+    corr = data.T @ r
+    assert lam > 0.0
+    assert np.max(np.abs(corr)) <= lam * (1.0 + 1e-9)
+    sup = np.flatnonzero(x)
+    assert np.all(np.abs(corr[sup] - lam * np.sign(x[sup])) <= 1e-9 * lam)
+    # r is then dual feasible, and its duality gap certifies the objective
+    objective = lasso_objective(data, y, x, lam)
+    assert objective - (float(r @ y) - 0.5 * float(r @ r)) <= 1e-9 * objective
+    # the FISTA reference never does better; its own dual point bounds
+    # the optimum from below
+    ref = lasso(data, y, lam, max_iter=20000, tol=1e-14)
+    assert objective <= ref.info["objective"] * (1.0 + 1e-9)
+    r_ref = y - data @ ref.estimate
+    nu = r_ref * min(1.0, lam / float(np.max(np.abs(data.T @ r_ref))))
+    assert float(nu @ y) - 0.5 * float(nu @ nu) <= objective * (1.0 + 1e-9)
+
+
+def test_bpdn_duplicated_and_negated_columns():
+    rng = np.random.default_rng(20)
+    base = rng.standard_normal((20, 40))
+    base /= np.linalg.norm(base, axis=0)
+    data = np.hstack([base, base[:, :5], -base[:, 5:10]])
+    x = np.zeros(40)
+    x[[0, 3, 7, 22]] = [1.5, -0.8, 2.0, 0.6]
+    y = base @ x
+    res = bpdn(MeasurementMatrix(data), y, 0.0)
+    assert res.converged
+    assert res.residual_norm <= 1e-12 * np.linalg.norm(y)
+    est = res.estimate
+    merged = est[:40].copy()
+    merged[:5] += est[40:45]
+    merged[5:10] -= est[45:50]
+    assert np.max(np.abs(merged - x)) <= 1e-10
+    assert np.sum(np.abs(est)) <= np.sum(np.abs(x)) * (1.0 + 1e-12)
+
+
+def test_bpdn_rejects_bad_epsilon(gauss_100x500):
+    y = np.ones(100)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(DomainError):
+            bpdn(gauss_100x500, y, eps)
 
 
 def test_bpdn_deterministic(gauss_200x400):
