@@ -352,8 +352,9 @@ def main(argv=None):
         text = canonical_json(report) + "\n"
         if args.out:
             Path(args.out).write_text(text)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     if args.out:
         for line in summary:

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import DimensionError, InsufficientDataError, UnnormalizedMatrixError
 from .util import frozen_copy
 
-NORM_TOL = 1e-9
-
 # Gram entries held per strip (16 MB of float64).  Strips are
 # max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^21 is one strip.
 _STRIP_BUDGET = 2**21
@@ -115,7 +113,7 @@ class FitReport:
 
 def require_normalized(matrix, name="matrix"):
     """Raise UnnormalizedMatrixError unless every column has unit norm."""
-    if not matrix.is_normalized(NORM_TOL):
+    if not matrix.is_normalized():
         worst = float(np.max(np.abs(matrix.column_norms() - 1.0)))
         raise UnnormalizedMatrixError(
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
@@ -130,7 +128,7 @@ def coherence_sample(matrix, block_cols=None):
     """
     require_normalized(matrix)
     data, N = matrix.data, matrix.cols
-    w = block_cols or max(1, _STRIP_BUDGET // N)
+    w = block_cols or max(1, _STRIP_BUDGET // max(N, 1))
     sample = CoherenceSample((), data.shape)
     # Gram rows a..a+w-1 from column a on, keeping column > row (row N-1 has none)
     sample._strips = lambda: (
@@ -162,13 +160,13 @@ def profile(sample, bins=None):
                             std=math.sqrt(st.m2), histogram=hist, sample_count=count)
 
 
-def normality_check(sample, z_mean_max=4.0, kurtosis_max=0.5):
+def normality_check(sample):
     """Check whether the sample looks like a centered Gaussian.
 
     Reports the standardized mean, the variance ratio std^2 * n against
-    the 1/n reference, and excess kurtosis.  Passes when |z_mean| <=
-    z_mean_max and |excess_kurtosis| <= kurtosis_max.  A zero-variance
-    sample is flagged degenerate and fails.
+    the 1/n reference, and excess kurtosis.  Passes when |z_mean| <= 4
+    and |excess_kurtosis| <= 0.5.  A zero-variance sample is flagged
+    degenerate and fails.
     """
     count = sample.count
     if count < _NORMALITY_MIN:
@@ -181,7 +179,7 @@ def normality_check(sample, z_mean_max=4.0, kurtosis_max=0.5):
                          passed=False, degenerate=True)
     z_mean = st.mean / (math.sqrt(st.m2) / math.sqrt(count))
     excess = st.m4 / st.m2**2 - 3.0
-    passed = abs(z_mean) <= z_mean_max and abs(excess) <= kurtosis_max
+    passed = abs(z_mean) <= 4.0 and abs(excess) <= 0.5
     return FitReport(z_mean=z_mean, var_ratio=st.m2 * n, excess_kurtosis=excess,
                      passed=passed)
 

@@ -74,10 +74,11 @@ class MeasurementMatrix:
     def column_norms(self):
         return np.linalg.norm(self.data, axis=0)
 
-    def is_normalized(self, tol=1e-9):
+    def is_normalized(self):
+        """Whether every column norm is within 1e-9 of 1."""
         if self.cols == 0:
             return True
-        return bool(np.max(np.abs(self.column_norms() - 1.0)) <= tol)
+        return bool(np.max(np.abs(self.column_norms() - 1.0)) <= 1e-9)
 
 
 def real_fourier_frame(n):
@@ -208,6 +209,8 @@ def _parse_csv(blob, path):
         rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: non-integer header {lines[0]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise MatrixFormatError(f"{path}: negative header dimension {lines[0]!r}")
     values = []
     try:
         for ln in lines[1:]:

@@ -1,65 +1,27 @@
 """Operator-norm helpers shared by the verifiers and solvers.
 
-Small problems go through dense eigendecomposition; large ones use a
-deterministically seeded power iteration.
+Both norms come from dense symmetric eigenvalues, exact to rounding at
+every size.
 """
-
-import warnings
 
 import numpy as np
 
-from ._streams import stream
 
-DENSE_MAX = 512
-_POWER_TOL = 1e-8
-_POWER_MAX_ITER = 10000
-
-
-def sym_opnorm(sym, dense_max=DENSE_MAX, tol=_POWER_TOL, max_iter=_POWER_MAX_ITER):
-    """Spectral norm of a symmetric matrix.
-
-    Dense eigendecomposition up to dense_max, power iteration beyond.
-    Power iteration tracks the largest |eigenvalue|; a (rare) exact +-
-    eigenvalue tie can stall it, in which case a warning is emitted and
-    the current estimate returned.
-    """
-    k = sym.shape[0]
-    if k == 0:
+def sym_opnorm(sym):
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|."""
+    if sym.shape[0] == 0:
         return 0.0
-    if k <= dense_max:
-        return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    return _power_iter(lambda v: sym @ v, k, tol, max_iter)
+    return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
 
 
-def operator_norm(mat, dense_max=DENSE_MAX, tol=_POWER_TOL, max_iter=_POWER_MAX_ITER):
+def operator_norm(mat):
     """Largest singular value of a dense matrix.
 
-    Exact SVD-based norm up to dense_max on the short side, matrix-free
-    power iteration on mat^T mat beyond.
+    The square root of the top eigenvalue of the smaller Gram matrix,
+    mat mat^T or mat^T mat, which is never larger than mat itself.
     """
     n, m = mat.shape
     if n == 0 or m == 0:
         return 0.0
-    if min(n, m) <= dense_max:
-        return float(np.linalg.norm(mat, 2))
-    lam = _power_iter(lambda v: mat.T @ (mat @ v), m, tol, max_iter)
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def _power_iter(apply_op, dim, tol, max_iter):
-    rng = stream(0, "power-iteration", dim)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = apply_op(v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return abs(lam_new)
-        lam = lam_new
-    warnings.warn("power iteration did not converge, returning last estimate")
-    return abs(lam)
+    gram = mat @ mat.T if n <= m else mat.T @ mat
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))

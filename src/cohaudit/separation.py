@@ -17,7 +17,7 @@ from .coherence import coherence_sample, cross_coherence, profile
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING
-from .solvers import SparseSignal, bpdn
+from .solvers import SparseSignal, _bpdn_epsilon, bpdn
 from .util import frozen_copy, parallel_map
 
 
@@ -38,8 +38,8 @@ class SeparationProblem:
         if y.size != self.left.rows:
             raise DimensionError(
                 f"y has length {y.size}, dictionaries have {self.left.rows} rows")
-        if not self.epsilon >= 0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.n_x < 0 or self.n_e < 0:
             raise DomainError(f"sparsities must be >= 0, got {self.n_x}, {self.n_e}")
         object.__setattr__(self, "y", y)
@@ -145,19 +145,17 @@ def _plant(rng, cols, k):
     return v
 
 
-def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma,
-                   epsilon, support_tol):
+def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma, epsilon):
     """Mix the planted pair (x, e), add noise, separate and score."""
-    if not noise_sigma >= 0:
-        raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     y = left.data @ x + (right.data @ e if right.cols else 0.0)
     if noise_sigma > 0:
         y = y + noise_sigma * stream(seed, noise_tag).standard_normal(left.rows)
     problem = SeparationProblem(left=left, right=right, y=y, epsilon=epsilon,
                                 n_x=n_x, n_e=n_e)
     result = separate(problem)
-    if support_tol is None:
-        support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
+    support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
     x_hat = result.x_hat.to_dense()
     e_hat = result.e_hat.to_dense()
 
@@ -176,8 +174,7 @@ def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma,
     )
 
 
-def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
-                     epsilon=1e-6, support_tol=None):
+def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0, epsilon=1e-6):
     """One planted separation experiment.
 
     Draws n_x atoms from the left dictionary and n_e from the right with
@@ -192,17 +189,16 @@ def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0,
     x = _plant(stream(seed, "separation-x", n_x), left.cols, n_x)
     e = _plant(stream(seed, "separation-e", n_e), right.cols, n_e)
     return _planted_trial(left, right, x, e, n_x, n_e, seed, "separation-noise",
-                          noise_sigma, epsilon, support_tol)
+                          noise_sigma, epsilon)
 
 
-def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
-                          corruption_scale=10.0, epsilon=None, support_tol=None):
+def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
     """Recovery under gross measurement corruption.
 
     The measurement picks up n_corruptions spike errors of typical size
-    corruption_scale on top of optional dense Gaussian noise; recovery
-    stacks the dictionary with the identity and separates.  The x fields
-    of the result describe the signal, the e fields the corruption.
+    10 on top of optional dense Gaussian noise; recovery stacks the
+    dictionary with the identity and separates.  The x fields of the
+    result describe the signal, the e fields the corruption.
     """
     n = matrix.rows
     if not 0 <= n_corruptions <= n:
@@ -215,11 +211,9 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed,
     if n_corruptions:
         # support before values, unlike _plant: the sampled corruptions rely on it
         picked = k_subset(rng_e, n, n_corruptions)
-        e[picked] = corruption_scale * rng_e.standard_normal(n_corruptions)
-    if epsilon is None:
-        epsilon = 1.1 * noise_sigma * math.sqrt(n) if noise_sigma > 0 else 0.0
+        e[picked] = 10.0 * rng_e.standard_normal(n_corruptions)
     return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, k, n_corruptions,
-                          seed, "robust-noise", noise_sigma, epsilon, support_tol)
+                          seed, "robust-noise", noise_sigma, _bpdn_epsilon(noise_sigma, n))
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):

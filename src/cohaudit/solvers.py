@@ -19,8 +19,6 @@ from .util import frozen_copy, parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
 
-SIGNAL_MODELS = ("gaussian", "rademacher")
-
 # Relative reconstruction error below which a noiseless trial counts as
 # an exact recovery.
 NOISELESS_SUCCESS_TOL = 1e-4
@@ -153,7 +151,7 @@ def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def omp(matrix, y, k=None, residual_tol=None, max_iter=None):
+def omp(matrix, y, k=None, residual_tol=None):
     """Orthogonal matching pursuit with full least-squares refit per step.
 
     Stops after k atoms, or when the residual norm drops to
@@ -169,8 +167,6 @@ def omp(matrix, y, k=None, residual_tol=None, max_iter=None):
     if k is not None and not 0 <= k <= min(n, cols):
         raise DomainError(f"need 0 <= k <= min(rows, cols) = {min(n, cols)}, got {k}")
     limit = k if k is not None else min(n, cols)
-    if max_iter is not None:
-        limit = min(limit, max_iter)
     rnorm = float(np.linalg.norm(y))
     if rnorm == 0.0:
         return SolveResult(estimate=np.zeros(cols), iterations=0,
@@ -245,11 +241,11 @@ def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
                        converged=converged, flags=tuple(flags))
 
 
-def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
+def cosamp(matrix, y, k, max_iter=100):
     """CoSaMP: proxy, top-2k merge, least squares, prune to k.
 
-    Returns the lowest-residual iterate seen.  Stops on a small relative
-    residual or when the residual stops improving ('stagnated').
+    Returns the lowest-residual iterate seen.  Stops on a relative
+    residual of 1e-10 or when the residual stops improving ('stagnated').
     """
     data, y = _operands(matrix, y)
     cols = data.shape[1]
@@ -280,7 +276,7 @@ def cosamp(matrix, y, k, max_iter=100, tol=1e-10):
         if rnorm < best_rnorm:
             best_rnorm = rnorm
             best_x = x
-        if rnorm <= tol * ynorm:
+        if rnorm <= 1e-10 * ynorm:
             converged = True
             break
         if prev_rnorm - rnorm <= 1e-12 * ynorm:
@@ -386,8 +382,8 @@ def bpdn(matrix, y, epsilon):
     """
     data, y = _operands(matrix, y)
     rows, cols = data.shape
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0 or epsilon >= ynorm:
         return SolveResult(estimate=np.zeros(cols), iterations=0,
@@ -471,18 +467,18 @@ def bpdn(matrix, y, epsilon):
                        converged=reached, flags=tuple(flags), info={"lam": lam_x})
 
 
-def _draw_signal(rng, cols, k, model):
+def _draw_signal(rng, cols, k):
     support = k_subset(rng, cols, k)
-    if model == "gaussian":
-        values = rng.standard_normal(k)
-        # a standard normal draw is never exactly zero in practice, but
-        # the SparseSignal contract requires it
-        values[values == 0.0] = 1.0
-    elif model == "rademacher":
-        values = 2.0 * rng.integers(0, 2, size=k) - 1.0
-    else:
-        raise ValueError(f"unknown signal model {model!r}")
+    values = rng.standard_normal(k)
+    # a standard normal draw is never exactly zero in practice, but
+    # the SparseSignal contract requires it
+    values[values == 0.0] = 1.0
     return SparseSignal(dim=cols, support=support, values=values)
+
+
+def _bpdn_epsilon(noise_sigma, rows):
+    """bpdn's residual budget for Gaussian noise of noise_sigma on rows entries."""
+    return 1.1 * noise_sigma * math.sqrt(rows) if noise_sigma > 0 else 0.0
 
 
 def _run_solver(matrix, y, k, solver, noise_sigma, options):
@@ -495,26 +491,24 @@ def _run_solver(matrix, y, k, solver, noise_sigma, options):
     if solver == "cosamp":
         return cosamp(matrix, y, k, **opts)
     if solver == "bpdn":
-        opts.setdefault("epsilon", 1.1 * noise_sigma * math.sqrt(matrix.rows)
-                        if noise_sigma > 0 else 0.0)
+        opts.setdefault("epsilon", _bpdn_epsilon(noise_sigma, matrix.rows))
         return bpdn(matrix, y, **opts)
     raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
 
 
-def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None,
-                   signal_model="gaussian", support_tol=None):
+def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
     """One synthetic recovery experiment with a known planted signal.
 
     Noiseless success means relative l2 error <= 1e-4; noisy success
-    means the estimated support (entries above support_tol, default
-    10 * noise_sigma) matches the true support exactly.
+    means the estimated support (entries above 10 * noise_sigma) matches
+    the true support exactly.
     """
-    if not noise_sigma >= 0:
-        raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     cols = matrix.cols
     if not 0 <= k <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
-    truth = _draw_signal(stream(seed, "signal", k), cols, k, signal_model)
+    truth = _draw_signal(stream(seed, "signal", k), cols, k)
     x = truth.to_dense()
     y = matrix.data @ x
     if noise_sigma > 0:
@@ -524,8 +518,7 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None,
     xnorm = float(np.linalg.norm(x))
     err = float(np.linalg.norm(est - x))
     rel = err / xnorm if xnorm > 0 else err
-    if support_tol is None:
-        support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-8
+    support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-8
     est_sup = set(np.flatnonzero(np.abs(est) > support_tol).tolist())
     true_sup = set(truth.support.tolist())
     hits = len(est_sup & true_sup)
@@ -542,13 +535,14 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None,
                        flags=res.flags)
 
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+def wilson_interval(successes, trials):
     """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise DomainError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     p = successes / trials
+    z = 1.959963984540054  # the two-sided 95% standard normal quantile
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -561,8 +555,7 @@ def wilson_interval(successes, trials, z=1.959963984540054):
 
 
 def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
-                solver_options=None, fresh_matrix=False, signal_model="gaussian",
-                threads=1):
+                solver_options=None, fresh_matrix=False, threads=1):
     """Empirical success rate vs sparsity with Wilson 95% intervals.
 
     source is a MeasurementMatrix (fixed-matrix mode) or an EnsembleSpec;
@@ -593,8 +586,7 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
                 mat = generate(spec)
             return recovery_trial(mat, k, solver, noise_sigma,
                                   substream_seed(seed, "trial", k, trial),
-                                  solver_options=solver_options,
-                                  signal_model=signal_model)
+                                  solver_options=solver_options)
         results = parallel_map(one, range(trials), threads)
         wins = sum(1 for r in results if r.success)
         lo, hi = wilson_interval(wins, trials)

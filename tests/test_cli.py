@@ -1,9 +1,12 @@
 import importlib.metadata
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -249,6 +252,16 @@ def test_malformed_matrix_file_is_data_error(tmp_path):
     assert run_cli(["audit", "--matrix", str(path)]) == 1
 
 
+@pytest.mark.parametrize("file_format", ["csv", "binary"])
+@pytest.mark.parametrize("command", [["audit"], ["verify", "--k", "1", "--trials", "2"]])
+def test_zero_column_matrix_file_is_data_error(tmp_path, capsys, file_format, command):
+    path = tmp_path / "empty.mat"
+    save_matrix(MeasurementMatrix(np.zeros((3, 0))), path, file_format)
+    assert run_cli(command + ["--matrix", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: need at least two columns for a coherence profile\n"
+
+
 def test_separate_sparsity_past_dictionary_is_data_error(capsys):
     code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "4",
                     "--nx", "10", "--ne", "1", "--trials", "1"])
@@ -258,7 +271,8 @@ def test_separate_sparsity_past_dictionary_is_data_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--epsilon", "nan")])
+@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--epsilon", "nan"),
+                                        ("--noise", "inf"), ("--epsilon", "inf")])
 def test_separate_bad_noise_or_epsilon_is_data_error(flag, value, capsys):
     code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1",
                     "--ne", "1", "--trials", "2", flag, value])
@@ -266,6 +280,16 @@ def test_separate_bad_noise_or_epsilon_is_data_error(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert flag[2:] in err and "non-finite float in report" not in err
+
+
+@pytest.mark.parametrize("solver", ["bpdn", "iht"])
+def test_phase_infinite_noise_is_data_error(solver, capsys):
+    code = run_cli(["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30",
+                    "--k-list", "2,5", "--solver", solver, "--trials", "3",
+                    "--noise", "inf"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: noise_sigma must be finite and >= 0, got inf\n"
 
 
 FUZZ_VALUES = st.sampled_from(["-1", "0", "0.01", "nan", "inf"])
@@ -305,6 +329,61 @@ def test_cli_fuzz_exit_codes(argv):
         code = run_cli(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+FINITE_ENTRIES = st.floats(-4.0, 4.0)
+ANY_ENTRIES = FINITE_ENTRIES | st.sampled_from([0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def matrix_file(draw):
+    """Bytes of a CSV or binary matrix file, well formed or not."""
+    csv = draw(st.booleans())
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entries = draw(st.sampled_from([FINITE_ENTRIES, ANY_ENTRIES]))
+    values = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    # the header may disagree with the payload; only CSV can state negative sizes
+    side = st.integers(-2 if csv else 0, 5)
+    head = draw(st.one_of(st.just((rows, cols)), st.tuples(side, side)))
+    if csv:
+        lines = ["%d,%d" % head] + [",".join("%.17g" % v for v in values[r * cols:][:cols])
+                                    for r in range(rows)]
+        blob = ("\n".join(lines) + "\n").encode()
+    else:
+        blob = b"CAMX" + struct.pack("<II", *head) + np.array(values, "<f8").tobytes()
+    return blob[:len(blob) - draw(st.one_of(st.just(0), st.integers(1, 12)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=matrix_file(), command=st.sampled_from(["audit", "verify", "phase", "separate"]),
+       k=st.integers(0, 3), solver=st.sampled_from(SOLVERS))
+def test_cli_matrix_file_fuzz_exit_codes(blob, command, k, solver):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mat")
+        Path(path).write_bytes(blob)
+        argv = {"audit": ["audit", "--matrix", path],
+                "verify": ["verify", "--matrix", path, "--k", str(k), "--trials", "2"],
+                "phase": ["phase", "--matrix", path, "--k-list", str(k), "--trials", "1",
+                          "--solver", solver],
+                "separate": ["separate", "--matrix-d", path, "--matrix-b", path,
+                             "--nx", str(k), "--ne", str(k), "--trials", "1"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in (0, 1, 2, 3), (argv, blob, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_memory_error_is_data_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "coherence_sample", exhausted)
+    assert run_cli(["audit", "--ensemble", "gaussian", "--rows", "10",
+                    "--cols", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError\n"
+    assert "Traceback" not in err
 
 
 def test_counts_below_one_are_usage_errors(capsys):

@@ -197,7 +197,7 @@ def test_sym_opnorm_matches_eig_on_large_matrix():
     a = rng.standard_normal((600, 600))
     sym = (a + a.T) / 2.0
     exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    approx = sym_opnorm(sym)  # 600 > dense cutoff: power iteration path
+    approx = sym_opnorm(sym)
     assert abs(approx - exact) <= 1e-5 * exact
 
 
@@ -205,3 +205,14 @@ def test_operator_norm_matches_svd():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((40, 60))
     assert abs(operator_norm(a) - np.linalg.norm(a, 2)) <= 1e-10
+
+
+def test_norms_exact_on_large_matrices():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((600, 700))
+    for mat in (a, a.T):
+        exact = np.linalg.norm(mat, 2)
+        assert abs(operator_norm(mat) - exact) <= 1e-12 * exact
+    sym = a[:, :600] + a[:, :600].T
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    assert abs(sym_opnorm(sym) - exact) <= 1e-12 * exact

@@ -326,6 +326,32 @@ def test_bpdn_rejects_bad_epsilon(gauss_100x500):
             bpdn(gauss_100x500, y, eps)
 
 
+def test_omp_flags_stalled():
+    # after e0 and e1 the residual is zero, so the next pick repeats e0
+    res = omp(np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), k=3)
+    assert res.flags == ("stalled",)
+    assert res.iterations == 2
+    assert not res.converged
+
+
+def test_cosamp_flags_regularized_and_stagnated():
+    # the merged set grows past 20 columns in 20 rows: least squares is rank deficient
+    m = generate(EnsembleSpec("gaussian", 20, 100, 1))
+    y = np.random.default_rng(1).standard_normal(20)
+    res = cosamp(m, y, 10)
+    assert res.flags == ("regularized", "stagnated")
+    assert not res.converged
+
+
+def test_iht_flags_diverged():
+    m = generate(EnsembleSpec("gaussian", 20, 100, 1))
+    y = np.random.default_rng(1).standard_normal(20)
+    res = iht(m, y, 5, step=10.0)
+    assert res.flags == ("diverged",)
+    assert not res.converged
+    assert res.residual_norm > 10.0 * np.linalg.norm(y)
+
+
 def test_bpdn_deterministic(gauss_200x400):
     rng = np.random.default_rng(17)
     y = rng.standard_normal(200)
