@@ -47,3 +47,23 @@ def k_subset(rng, n, k):
     out = idx[:k].copy()
     out.sort()
     return out
+
+
+def k_subsets(rng, n, k, count):
+    """count uniform random k-subsets of range(n), one sorted row each.
+
+    Floyd's algorithm, vectorised over the rows of one (count, k) uniform
+    array: row i uses only row i of the draw, so it does not depend on
+    count.  O(count * k) memory whatever n is.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    u = rng.random((count, k))
+    out = np.empty((count, k), dtype=np.intp)
+    for s in range(k):
+        j = n - k + s
+        t = (u[:, s] * (j + 1)).astype(np.intp)
+        taken = (out[:, :s] == t[:, None]).any(axis=1)
+        out[:, s] = np.where(taken, j, t)
+    out.sort(axis=1)
+    return out

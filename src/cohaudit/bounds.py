@@ -54,9 +54,8 @@ class SeparationCondition:
     margin_pair_scaled: float
 
 
-def _check_unit_interval(name, value, allow_one=True):
-    hi_ok = value <= 1.0 if allow_one else value < 1.0
-    if not (value > 0.0 and hi_ok):
+def _check_unit_interval(name, value):
+    if not 0.0 < value <= 1.0:
         raise DomainError(f"{name} must be in (0, 1], got {value}")
 
 
@@ -64,6 +63,15 @@ def _floor(value):
     # Absorb float rounding at integer knife edges (e.g. an exact 13.0
     # evaluated as 12.999999999999998) before flooring.
     return math.floor(value + abs(value) * 1e-12)
+
+
+def _check_tail_domain(t, k, sigma):
+    if t <= 0.0:
+        raise DomainError(f"t must be positive, got {t}")
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    if sigma <= 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
 
 
 def sparsity_bounds(mu, sigma):
@@ -117,12 +125,7 @@ def energy_deviation_tail(t, k, sigma, x_norm2=1.0):
     Scalar Bernstein bound 2 exp(-t^2 / (2 sigma^2 (k-1) ||x||^4)),
     clamped to [0, 1].
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_tail_domain(t, k, sigma)
     if x_norm2 <= 0.0:
         raise DomainError(f"x_norm2 must be positive, got {x_norm2}")
     expo = -t * t / (2.0 * sigma * sigma * (k - 1) * x_norm2**4)
@@ -135,12 +138,7 @@ def spectral_deviation_tail(t, k, sigma):
     Operator Bernstein bound (k(k-1)/2) exp(-t^2 / (2 k (k-1) sigma^2)),
     clamped to [0, 1].
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_tail_domain(t, k, sigma)
     expo = -t * t / (2.0 * k * (k - 1) * sigma * sigma)
     return min(1.0, 0.5 * k * (k - 1) * math.exp(expo))
 

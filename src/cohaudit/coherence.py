@@ -112,9 +112,9 @@ class FitReport:
 
 
 def require_normalized(matrix, name="matrix"):
-    """Raise UnnormalizedMatrixError unless every column has unit norm."""
-    if not matrix.is_normalized():
-        worst = float(np.max(np.abs(matrix.column_norms() - 1.0)))
+    """Raise UnnormalizedMatrixError unless every column norm is within 1e-9 of 1."""
+    worst = float(np.max(np.abs(matrix.column_norms() - 1.0), initial=0.0))
+    if worst > 1e-9:
         raise UnnormalizedMatrixError(
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
 

@@ -74,12 +74,6 @@ class MeasurementMatrix:
     def column_norms(self):
         return np.linalg.norm(self.data, axis=0)
 
-    def is_normalized(self):
-        """Whether every column norm is within 1e-9 of 1."""
-        if self.cols == 0:
-            return True
-        return bool(np.max(np.abs(self.column_norms() - 1.0)) <= 1e-9)
-
 
 def real_fourier_frame(n):
     """Orthonormal n x n real harmonic basis.
@@ -199,7 +193,10 @@ def _parse_binary(blob, path):
 
 
 def _parse_csv(blob, path):
-    lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
+    try:
+        lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from exc
     if not lines:
         raise MatrixFormatError(f"{path}: empty file")
     head = lines[0].split(",")

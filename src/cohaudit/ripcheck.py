@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import k_subset, stream
+from ._streams import k_subsets, stream
 from .coherence import require_normalized
 from .errors import DimensionError, DomainError
 from .linalg import sym_opnorm
@@ -57,36 +57,75 @@ class TailCheckPoint:
     ok: bool
 
 
-def _coefficients(rng, k, model):
+# Block j of a purpose draws its supports and coefficients from the keyed
+# streams (seed, purpose, k, "support" | "coeff", j), one row per trial, so
+# trial i depends only on (seed, k, i), whatever the threads or trial total.
+BLOCK_TRIALS = 1024
+# Entries in one chunk's (chunk, k, rows) gather of support columns, 512 KiB:
+# the sampler's memory stays cache-sized whatever the block or trial count.
+GATHER_ENTRIES = 2**16
+
+
+def _map_blocks(fn, trials, threads):
+    """fn(j, size) over the blocks of range(trials), concatenated in order."""
+    def one(start):
+        return fn(start // BLOCK_TRIALS, min(BLOCK_TRIALS, trials - start))
+
+    return np.concatenate(parallel_map(one, range(0, trials, BLOCK_TRIALS), threads))
+
+
+def _block_draws(seed, purpose, k, cols, j, size, model="gaussian"):
+    """Block j's sorted (size, k) supports and its coefficients."""
+    supports = k_subsets(stream(seed, purpose, k, "support", j), cols, k, size)
+    rng = stream(seed, purpose, k, "coeff", j)
     if model == "gaussian":
-        return rng.standard_normal(k)
-    return 2.0 * rng.integers(0, 2, size=k) - 1.0
+        return supports, rng.standard_normal((size, k))
+    return supports, 2.0 * rng.integers(0, 2, size=(size, k)) - 1.0
 
 
-def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
-    """Draw energy ratios r = ||D x||^2 / ||x||^2 on random k-supports.
+def _chunks(size, k, rows):
+    """Slices of a block whose column gathers hold at most GATHER_ENTRIES."""
+    step = max(1, GATHER_ENTRIES // max(k * rows, 1))
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
 
-    Each trial gets its own keyed stream, so results are identical at
-    any thread count.  Requires unit-norm columns.
-    """
+
+def _images(data, supports, coeffs):
+    """D_S c for each row (S, c) of a chunk, as a (chunk, rows) array."""
+    return np.einsum("tkr,tk->tr", data.T[supports], coeffs)
+
+
+def _row_dot(a, b):
+    return np.einsum("tr,tr->t", a, b)
+
+
+def _check_sampling(matrix, k, trials):
     require_normalized(matrix)
     if not 1 <= k <= matrix.cols:
         raise DomainError(f"need 1 <= k <= {matrix.cols}, got k={k}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+
+
+def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
+    """Draw energy ratios r = ||D x||^2 / ||x||^2 on random k-supports.
+
+    Each block of trials draws from its own keyed streams, so results are
+    identical at any thread count.  Requires unit-norm columns.
+    """
+    _check_sampling(matrix, k, trials)
     if coeff_model not in COEFF_MODELS:
         raise ValueError(f"unknown coefficient model {coeff_model!r}")
     data = matrix.data
-    cols = matrix.cols
 
-    def one(trial):
-        rng = stream(seed, "ratio", k, trial)
-        support = k_subset(rng, cols, k)
-        c = _coefficients(rng, k, coeff_model)
-        v = data[:, support] @ c
-        return float(v @ v) / float(c @ c)
+    def block(j, size):
+        supports, coeffs = _block_draws(seed, "ratio", k, matrix.cols, j, size, coeff_model)
+        out = np.empty(size)
+        for sl in _chunks(size, k, matrix.rows):
+            v = _images(data, supports[sl], coeffs[sl])
+            out[sl] = _row_dot(v, v)
+        return out / _row_dot(coeffs, coeffs)
 
-    values = np.array(parallel_map(one, range(trials), threads))
+    values = _map_blocks(block, trials, threads)
     return RatioSample(values=values, k=k, trials=trials, seed=seed,
                        coeff_model=coeff_model)
 
@@ -124,20 +163,25 @@ def spectral_deviation(matrix, support):
 
 
 def sample_spectral(matrix, k, trials, seed, threads=1):
-    """Draw spectral deviations over random k-supports."""
-    require_normalized(matrix)
-    if not 1 <= k <= matrix.cols:
-        raise DomainError(f"need 1 <= k <= {matrix.cols}, got k={k}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    cols = matrix.cols
+    """Draw spectral deviations over random k-supports.
 
-    def one(trial):
-        rng = stream(seed, "spectral", k, trial)
-        support = k_subset(rng, cols, k)
-        return spectral_deviation(matrix, support)
+    Each chunk of a block stacks its k x k Gram submatrices and takes
+    their eigenvalues in one call.
+    """
+    _check_sampling(matrix, k, trials)
+    cols_t = matrix.data.T
+    eye = np.eye(k)
 
-    values = np.array(parallel_map(one, range(trials), threads))
+    def block(j, size):
+        supports = k_subsets(stream(seed, "spectral", k, "support", j), matrix.cols, k, size)
+        out = np.empty(size)
+        for sl in _chunks(size, k, matrix.rows):
+            sub = cols_t[supports[sl]]
+            gram = sub @ sub.transpose(0, 2, 1) - eye
+            out[sl] = np.abs(np.linalg.eigvalsh(gram)).max(axis=1)
+        return out
+
+    values = _map_blocks(block, trials, threads)
     return SpectralSample(values=values, k=k, trials=trials, seed=seed)
 
 

@@ -16,9 +16,9 @@ from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence, profile
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
-from .ripcheck import BAND_ROUNDING
+from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
 from .solvers import SparseSignal, _bpdn_epsilon, bpdn
-from .util import frozen_copy, parallel_map
+from .util import frozen_copy
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,7 @@ def measured_spreads(left, right):
     """
     sigma_left = profile(coherence_sample(left)).std if left.cols >= 2 else 0.0
     sigma_right = profile(coherence_sample(right)).std if right.cols >= 2 else 0.0
-    if left.cols and right.cols:
-        sigma_cross = cross_coherence(left, right).std
-    else:
-        sigma_cross = 0.0
-    return sigma_left, sigma_right, sigma_cross
+    return sigma_left, sigma_right, cross_coherence(left, right).std
 
 
 def separation_feasibility(left, right, n_x, n_e):
@@ -206,12 +202,7 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
     if not 0 <= k <= matrix.cols:
         raise DomainError(f"need 0 <= k <= {matrix.cols}, got {k}")
     x = _plant(stream(seed, "robust-signal", k), matrix.cols, k)
-    rng_e = stream(seed, "robust-corruption", n_corruptions)
-    e = np.zeros(n)
-    if n_corruptions:
-        # support before values, unlike _plant: the sampled corruptions rely on it
-        picked = k_subset(rng_e, n, n_corruptions)
-        e[picked] = 10.0 * rng_e.standard_normal(n_corruptions)
+    e = 10.0 * _plant(stream(seed, "robust-corruption", n_corruptions), n, n_corruptions)
     return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, k, n_corruptions,
                           seed, "robust-noise", noise_sigma, _bpdn_epsilon(noise_sigma, n))
 
@@ -233,28 +224,23 @@ def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):
         raise DomainError("sparsities must fit inside the dictionaries")
     cond = separation_feasibility(left, right, n_x, n_e)
 
-    def image(rng, dictionary, k):
-        """D c for k Gaussian coefficients c on a random support, and ||c||^2."""
-        if not k:
-            return np.zeros(left.rows), 0.0
-        sup = k_subset(rng, dictionary.cols, k)
-        c = rng.standard_normal(k)
-        return dictionary.data[:, sup] @ c, float(c @ c)
+    def block(j, size):
+        """Per trial of block j: the joint energy ratio and the rounding gap."""
+        sx, cx = _block_draws(seed, "joint-rip-x", n_x, left.cols, j, size)
+        se, ce = _block_draws(seed, "joint-rip-e", n_e, right.cols, j, size)
+        out = np.empty((size, 2))
+        for sl in _chunks(size, max(n_x, n_e), left.rows):
+            dx = _images(left.data, sx[sl], cx[sl])
+            be = _images(right.data, se[sl], ce[sl])
+            direct = _row_dot(dx + be, dx + be)
+            parts = _row_dot(dx, dx) + _row_dot(be, be) + 2.0 * _row_dot(dx, be)
+            out[sl, 0] = direct
+            out[sl, 1] = np.abs(direct - parts)
+        energy = _row_dot(cx, cx) + _row_dot(ce, ce)
+        out[:, 0] = np.divide(out[:, 0], energy, out=np.ones(size), where=energy > 0)
+        return out
 
-    def one(trial):
-        rng = stream(seed, "joint-rip", trial)
-        dx, energy_x = image(rng, left, n_x)
-        be, energy_e = image(rng, right, n_e)
-        energy = energy_x + energy_e
-        mixed = dx + be
-        direct = float(mixed @ mixed)
-        parts = float(dx @ dx) + float(be @ be) + 2.0 * float(dx @ be)
-        ratio = direct / energy if energy > 0 else 1.0
-        return ratio, abs(direct - parts)
-
-    out = parallel_map(one, range(trials), threads)
-    ratios = np.array([r for r, _ in out])
-    gaps = np.array([g for _, g in out])
+    ratios, gaps = _map_blocks(block, trials, threads).T
     dev = np.abs(ratios - 1.0)
     in_band = float(np.mean(dev <= cond.g_joint + BAND_ROUNDING))
     in_band_pair = float(np.mean(dev <= cond.g_joint_pair_scaled + BAND_ROUNDING))

@@ -252,6 +252,22 @@ def test_malformed_matrix_file_is_data_error(tmp_path):
     assert run_cli(["audit", "--matrix", str(path)]) == 1
 
 
+@pytest.mark.parametrize("flags", [["audit", "--matrix", "{bad}"],
+                                   ["separate", "--matrix-d", "{bad}", "--matrix-b", "{good}"],
+                                   ["separate", "--matrix-d", "{good}", "--matrix-b", "{bad}"]])
+def test_non_utf8_csv_matrix_names_the_file(tmp_path, capsys, flags):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_bytes(b"2,2\n1,\xff\n0,1\n")
+    save_matrix(MeasurementMatrix(np.eye(2)), good, "csv")
+    argv = [f.format(bad=bad, good=good) for f in flags]
+    if argv[0] == "separate":
+        argv += ["--nx", "1", "--ne", "1", "--trials", "1"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("file_format", ["csv", "binary"])
 @pytest.mark.parametrize("command", [["audit"], ["verify", "--k", "1", "--trials", "2"]])
 def test_zero_column_matrix_file_is_data_error(tmp_path, capsys, file_format, command):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohaudit import (
     DomainError,
@@ -15,8 +19,10 @@ from cohaudit import (
     spectral_deviation,
     tail_check,
 )
+from cohaudit._streams import k_subsets, stream
 from cohaudit.bounds import energy_deviation_tail, rip_width, spectral_deviation_tail
 from cohaudit.linalg import operator_norm, sym_opnorm
+from cohaudit.ripcheck import BLOCK_TRIALS
 
 
 def test_ratios_orthonormal_exactly_one(ortho_30):
@@ -216,3 +222,103 @@ def test_norms_exact_on_large_matrices():
     sym = a[:, :600] + a[:, :600].T
     exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
     assert abs(sym_opnorm(sym) - exact) <= 1e-12 * exact
+
+
+def block_layout(seed, purpose, k, cols, trials, model=None):
+    """Each trial's support (and coefficients), rebuilt from the documented
+    layout: block j reads streams (seed, purpose, k, "support" | "coeff", j)."""
+    supports, coeffs = [], []
+    for j, lo in enumerate(range(0, trials, BLOCK_TRIALS)):
+        size = min(BLOCK_TRIALS, trials - lo)
+        supports.append(k_subsets(stream(seed, purpose, k, "support", j), cols, k, size))
+        rng = stream(seed, purpose, k, "coeff", j)
+        coeffs.append(rng.standard_normal((size, k)) if model == "gaussian"
+                      else 2.0 * rng.integers(0, 2, size=(size, k)) - 1.0)
+    return np.concatenate(supports), np.concatenate(coeffs)
+
+
+# trial counts on both sides of the first block boundary
+BLOCK_TRIAL_COUNTS = st.sampled_from([1, 7, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                                      BLOCK_TRIALS + 130])
+
+
+@st.composite
+def kernel_case(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 12))
+    k = draw(st.integers(1, cols))
+    seed = draw(st.integers(0, 2**32))
+    return generate(EnsembleSpec("gaussian", rows, cols, seed)), k, seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_case(), BLOCK_TRIAL_COUNTS, st.sampled_from(["gaussian", "rademacher"]))
+def test_ratio_block_kernel_matches_per_trial_oracle(case, trials, model):
+    m, k, seed = case
+    s = sample_ratios(m, k, trials, seed, coeff_model=model)
+    supports, coeffs = block_layout(seed, "ratio", k, m.cols, trials, model)
+    for value, support, c in zip(s.values, supports, coeffs):
+        v = m.data[:, support] @ c
+        expect = float(v @ v) / float(c @ c)
+        # relative to max(r, 1): with one row, +-1 coefficients can cancel
+        # exactly, and rounding in another summation order leaves ~1e-33
+        assert abs(value - expect) <= 1e-12 * max(expect, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_case(), BLOCK_TRIAL_COUNTS)
+def test_spectral_block_kernel_matches_per_support_oracle(case, trials):
+    m, k, seed = case
+    s = sample_spectral(m, k, trials, seed)
+    supports, _ = block_layout(seed, "spectral", k, m.cols, trials)
+    for value, support in zip(s.values, supports):
+        assert abs(value - spectral_deviation(m, support)) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(kernel_case(), st.integers(1, BLOCK_TRIALS + 100))
+def test_samples_are_prefixes_of_longer_samples(case, trials):
+    m, k, seed = case
+    longer = trials + 1500
+    assert np.array_equal(sample_ratios(m, k, trials, seed).values,
+                          sample_ratios(m, k, longer, seed).values[:trials])
+    assert np.array_equal(sample_spectral(m, k, trials, seed).values,
+                          sample_spectral(m, k, longer, seed).values[:trials])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_k_subsets_rows_are_sorted_distinct_and_in_range(n, data):
+    k = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(1, 40))
+    out = k_subsets(stream(data.draw(st.integers(0, 1000)), "subsets"), n, k, count)
+    assert out.shape == (count, k)
+    assert np.all(np.diff(out, axis=1) > 0)
+    assert np.all((out >= 0) & (out < n))
+    if k == n:
+        assert np.all(out == np.arange(n))
+
+
+def test_k_subsets_uniform_over_all_subsets():
+    draws = 200_000
+    out = k_subsets(stream(7, "chi-square"), 7, 3, draws)
+    _, counts = np.unique(out @ np.array([49, 7, 1]), return_counts=True)
+    assert counts.size == 35  # every 3-subset of range(7) occurs
+    expected = draws / 35
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    # 99.9% quantile of chi-square with 35 - 1 degrees of freedom
+    assert chi2 <= 65.25
+
+
+@pytest.mark.parametrize("sampler", [sample_ratios, sample_spectral])
+def test_sampler_memory_is_bounded_by_chunks(gauss_200x400, sampler):
+    # a whole 1024-trial block gathered at once would hold 1024 x 10 x 200
+    # floats (16 MiB); chunks of at most 2^16 gathered entries stay far below
+    sampler(gauss_200x400, 10, 100, 3)
+    tracemalloc.start()
+    try:
+        sampler(gauss_200x400, 10, 10_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
