@@ -11,6 +11,7 @@ verification check failed.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,9 +55,6 @@ def _positive_int(text):
 def _add_common_args(sub):
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="worker threads for Monte Carlo trials, capped at the "
-                          "core count (default 1)")
 
 
 def _resolve_matrix(args, parser):
@@ -128,12 +126,13 @@ def _parse_grid(text, parser):
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"bad grid {text!r}, expected comma-separated numbers")
-    if not grid or any(g <= 0 for g in grid):
-        parser.error("grid multipliers must be positive")
+    if not grid or not all(0 < g < math.inf for g in grid):
+        parser.error("grid multipliers must be positive and finite")
     return grid
 
 
 def run_verify(args, parser):
+    multipliers = _parse_grid(args.t_grid, parser)
     matrix, source = _resolve_matrix(args, parser)
     k = args.k
     sigma = profile(coherence_sample(matrix)).std
@@ -145,7 +144,6 @@ def run_verify(args, parser):
     spectral = sample_spectral(matrix, k, spectral_trials, args.seed,
                                threads=args.threads)
     g_spectral = rip_width(k, sigma, "spectral").g
-    multipliers = _parse_grid(args.t_grid, parser)
     ratio_points = []
     spectral_points = []
     if sigma > 0.0 and k >= 2:
@@ -341,6 +339,10 @@ def build_parser():
                        help="residual budget for the joint solve")
     p_sep.add_argument("--csv", help="also write per-trial errors as CSV")
     p_sep.set_defaults(func=run_separate)
+    for sub in (p_verify, p_phase, p_sep):
+        sub.add_argument("--threads", type=_positive_int, default=1,
+                         help="worker threads for Monte Carlo trials, capped at the "
+                              "core count (default 1)")
     return parser
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from ._streams import k_subset, stream
 from .errors import DegenerateColumnError, DimensionError, MatrixFormatError
+from .util import write_csv
 
 ENSEMBLES = ("gaussian", "bernoulli", "partial_fourier")
 
@@ -50,7 +51,6 @@ class MeasurementMatrix:
 
     data: np.ndarray
     ensemble_tag: str = "custom"
-    seed: int | None = None
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.float64, order="C", copy=True)
@@ -111,7 +111,7 @@ def generate_raw(spec):
         frame = real_fourier_frame(spec.cols)
         picked = k_subset(rng, spec.cols, spec.rows)
         raw = frame[picked]
-    return MeasurementMatrix(raw, ensemble_tag=spec.ensemble, seed=spec.seed)
+    return MeasurementMatrix(raw, ensemble_tag=spec.ensemble)
 
 
 def generate(spec):
@@ -135,8 +135,7 @@ def normalize_columns(matrix):
     factors[np.abs(norms - 1.0) <= _NORM_SKIP] = 1.0
     if np.all(factors == 1.0):
         return matrix
-    return MeasurementMatrix(matrix.data * factors,
-                             ensemble_tag=matrix.ensemble_tag, seed=matrix.seed)
+    return MeasurementMatrix(matrix.data * factors, ensemble_tag=matrix.ensemble_tag)
 
 
 def save_matrix(matrix, path, file_format="binary"):
@@ -151,10 +150,8 @@ def save_matrix(matrix, path, file_format="binary"):
         header = _MAGIC + struct.pack("<II", matrix.rows, matrix.cols)
         path.write_bytes(header + matrix.data.astype("<f8").tobytes(order="C"))
     elif file_format == "csv":
-        lines = [f"{matrix.rows},{matrix.cols}"]
-        for row in matrix.data:
-            lines.append(",".join("%.17g" % v for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        write_csv(path, f"{matrix.rows},{matrix.cols}", ",".join(["%.17g"] * matrix.cols),
+                  map(tuple, matrix.data))
     else:
         raise MatrixFormatError(f"unknown matrix format {file_format!r}")
 
@@ -163,7 +160,7 @@ def load_matrix(path, file_format=None):
     """Read a matrix written by save_matrix.
 
     The file stores shape and entries only, so the result carries
-    ensemble_tag 'custom' and no seed.  Format is inferred from the file
+    ensemble_tag 'custom'.  Format is inferred from the file
     contents when not given: binary if the magic matches, CSV otherwise.
     """
     path = Path(path)

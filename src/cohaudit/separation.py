@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import k_subset, stream
+from ._streams import stream
 from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence, profile
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
-from .solvers import SparseSignal, _bpdn_epsilon, bpdn
+from .solvers import SparseSignal, _bpdn_epsilon, _observe, _plant, _score, bpdn
 from .util import frozen_copy
 
 
@@ -127,44 +127,20 @@ def spikes_fourier_pair(n):
     return spikes, waves
 
 
-def _support_match(est_signal, true_support, tol):
-    est = set(np.flatnonzero(np.abs(est_signal) > tol).tolist())
-    return est == set(true_support.tolist())
-
-
-def _plant(rng, cols, k):
-    """Gaussian coefficients on a uniform random k-subset of range(cols)."""
-    v = np.zeros(cols)
-    if k:
-        # the right-hand side is evaluated first: values, then support
-        v[k_subset(rng, cols, k)] = rng.standard_normal(k)
-    return v
-
-
 def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma, epsilon):
     """Mix the planted pair (x, e), add noise, separate and score."""
-    if not 0 <= noise_sigma < math.inf:
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    y = left.data @ x + (right.data @ e if right.cols else 0.0)
-    if noise_sigma > 0:
-        y = y + noise_sigma * stream(seed, noise_tag).standard_normal(left.rows)
-    problem = SeparationProblem(left=left, right=right, y=y, epsilon=epsilon,
-                                n_x=n_x, n_e=n_e)
+    clean = left.data @ x + (right.data @ e if right.cols else 0.0)
+    problem = SeparationProblem(left=left, right=right,
+                                y=_observe(clean, noise_sigma, seed, noise_tag),
+                                epsilon=epsilon, n_x=n_x, n_e=n_e)
     result = separate(problem)
-    support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
-    x_hat = result.x_hat.to_dense()
-    e_hat = result.e_hat.to_dense()
-
-    def rel(err, ref):
-        norm_ref = float(np.linalg.norm(ref))
-        return float(np.linalg.norm(err)) / norm_ref if norm_ref > 0 \
-            else float(np.linalg.norm(err))
-
+    x_rel, x_est, x_true = _score(result.x_hat.to_dense(), x, noise_sigma)
+    e_rel, e_est, e_true = _score(result.e_hat.to_dense(), e, noise_sigma)
     return SeparationTrial(
-        x_rel_error=rel(x_hat - x, x),
-        e_rel_error=rel(e_hat - e, e),
-        x_support_ok=_support_match(x_hat, np.flatnonzero(x), support_tol),
-        e_support_ok=_support_match(e_hat, np.flatnonzero(e), support_tol),
+        x_rel_error=x_rel,
+        e_rel_error=e_rel,
+        x_support_ok=x_est == x_true,
+        e_support_ok=e_est == e_true,
         residual_norm=result.solver.residual_norm,
         converged=result.solver.converged,
     )

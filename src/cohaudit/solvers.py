@@ -467,13 +467,34 @@ def bpdn(matrix, y, epsilon):
                        converged=reached, flags=tuple(flags), info={"lam": lam_x})
 
 
-def _draw_signal(rng, cols, k):
+def _plant(rng, cols, k):
+    """Dense planted signal: a uniform k-subset support, then Gaussian values."""
     support = k_subset(rng, cols, k)
-    values = rng.standard_normal(k)
-    # a standard normal draw is never exactly zero in practice, but
-    # the SparseSignal contract requires it
-    values[values == 0.0] = 1.0
-    return SparseSignal(dim=cols, support=support, values=values)
+    x = np.zeros(cols)
+    x[support] = rng.standard_normal(k)
+    return x
+
+
+def _observe(clean, noise_sigma, seed, *tags):
+    """clean plus Gaussian noise of noise_sigma drawn from stream(seed, *tags)."""
+    if not 0 <= noise_sigma < math.inf:
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if noise_sigma > 0:
+        return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.size)
+    return clean
+
+
+def _score(estimate, truth, noise_sigma):
+    """Relative l2 error, then the estimated and true support sets.
+
+    An estimate entry is support above 10 * noise_sigma, or 1e-6 when noiseless.
+    """
+    norm = float(np.linalg.norm(truth))
+    err = float(np.linalg.norm(estimate - truth))
+    tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
+    return (err / norm if norm > 0 else err,
+            set(np.flatnonzero(np.abs(estimate) > tol).tolist()),
+            set(np.flatnonzero(truth).tolist()))
 
 
 def _bpdn_epsilon(noise_sigma, rows):
@@ -503,31 +524,17 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
     means the estimated support (entries above 10 * noise_sigma) matches
     the true support exactly.
     """
-    if not 0 <= noise_sigma < math.inf:
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     cols = matrix.cols
     if not 0 <= k <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
-    truth = _draw_signal(stream(seed, "signal", k), cols, k)
-    x = truth.to_dense()
-    y = matrix.data @ x
-    if noise_sigma > 0:
-        y = y + noise_sigma * stream(seed, "noise", k).standard_normal(matrix.rows)
+    x = _plant(stream(seed, "signal", k), cols, k)
+    y = _observe(matrix.data @ x, noise_sigma, seed, "noise", k)
     res = _run_solver(matrix, y, k, solver, noise_sigma, solver_options)
-    est = res.estimate
-    xnorm = float(np.linalg.norm(x))
-    err = float(np.linalg.norm(est - x))
-    rel = err / xnorm if xnorm > 0 else err
-    support_tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-8
-    est_sup = set(np.flatnonzero(np.abs(est) > support_tol).tolist())
-    true_sup = set(truth.support.tolist())
+    rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
     hits = len(est_sup & true_sup)
     precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
     recall = hits / len(true_sup) if true_sup else 1.0
-    if noise_sigma == 0:
-        success = rel <= NOISELESS_SUCCESS_TOL
-    else:
-        success = est_sup == true_sup
+    success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
     return TrialResult(k=k, seed=seed, solver=solver, rel_error=rel,
                        support_precision=precision, support_recall=recall,
                        success=success, iterations=res.iterations,
@@ -555,7 +562,7 @@ def wilson_interval(successes, trials):
 
 
 def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
-                solver_options=None, fresh_matrix=False, threads=1):
+                fresh_matrix=False, threads=1):
     """Empirical success rate vs sparsity with Wilson 95% intervals.
 
     source is a MeasurementMatrix (fixed-matrix mode) or an EnsembleSpec;
@@ -585,8 +592,7 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
                                     substream_seed(seed, "matrix", k, trial))
                 mat = generate(spec)
             return recovery_trial(mat, k, solver, noise_sigma,
-                                  substream_seed(seed, "trial", k, trial),
-                                  solver_options=solver_options)
+                                  substream_seed(seed, "trial", k, trial))
         results = parallel_map(one, range(trials), threads)
         wins = sum(1 for r in results if r.success)
         lo, hi = wilson_interval(wins, trials)

@@ -156,6 +156,28 @@ def test_verify_thread_count_does_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_t_grid_sets_tail_points(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--ensemble", "gaussian", "--rows", "20", "--cols", "40",
+                    "--k", "3", "--trials", "50", "--t-grid", "1,3",
+                    "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["ratio_tail"]) == len(rep["spectral_tail"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["1,nan", "inf", "abc", "0.5,-1", ","])
+def test_verify_bad_t_grid_is_usage_error_before_sampling(monkeypatch, capsys, grid):
+    # a non-finite multiplier used to run every trial and then fail as
+    # "non-finite float in report", exit 1
+    def unreachable(*args, **kwargs):
+        raise AssertionError("trials ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "sample_ratios", unreachable)
+    assert run_cli(["verify", "--ensemble", "gaussian", "--rows", "10", "--cols", "12",
+                    "--k", "2", "--trials", "5", "--t-grid", grid]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_verify_csv_dumps(tmp_path):
     ratios = tmp_path / "r.csv"
     spectral = tmp_path / "s.csv"

@@ -153,6 +153,15 @@ def test_csv_roundtrip_bitwise(tmp_path):
     save_matrix(m, path, "csv")
     back = load_matrix(path)
     assert np.array_equal(back.data, m.data)
+    assert path.read_text() == "\n".join(
+        ["7,9"] + [",".join("%.17g" % v for v in row) for row in m.data]) + "\n"
+    # 'rows,cols', then %.17g values at any magnitude and sign
+    edge = MeasurementMatrix([[1e-300, -0.0, 5e20], [1.0, 2.5, -1.0 / 3.0]])
+    save_matrix(edge, path, "csv")
+    assert path.read_text() == "2,3\n1e-300,-0,5e+20\n1,2.5,-0.33333333333333331\n"
+    back = load_matrix(path)
+    assert np.array_equal(back.data, edge.data)
+    assert np.signbit(back.data[0, 1])
 
 
 def test_csv_parse_layout(tmp_path):

@@ -429,3 +429,18 @@ def test_phase_curve_fresh_matrix_mode():
     points = phase_curve(spec, [2], "omp", 20, 0.0, 13, fresh_matrix=True)
     assert points[0].trials == 20
     assert points[0].rate >= 0.9
+
+
+@pytest.mark.parametrize("solver, noise, k_list, successes", [
+    ("omp", 0.0, [2, 6, 10, 14], [20, 18, 16, 12]),
+    ("iht", 0.0, [2, 6, 10, 14], [15, 6, 1, 3]),
+    ("cosamp", 0.0, [2, 6, 10, 14], [20, 20, 17, 3]),
+    ("bpdn", 0.0, [2, 6, 10, 14], [20, 20, 20, 17]),
+    ("bpdn", 0.01, [2, 6], [19, 12]),
+])
+def test_phase_curve_pinned_success_counts(solver, noise, k_list, successes):
+    # pins the planted-trial stream layout: a change here changes every
+    # phase report, so it must be deliberate
+    m = generate(EnsembleSpec("gaussian", 40, 80, 3))
+    points = phase_curve(m, k_list, solver, 20, noise, 5)
+    assert [p.successes for p in points] == successes
