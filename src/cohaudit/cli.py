@@ -26,7 +26,7 @@ from .errors import InsufficientDataError
 from .ripcheck import band_frequency, sample_ratios, sample_spectral, tail_check
 from .separation import separation_feasibility, separation_trial, \
     spikes_fourier_pair
-from .solvers import SOLVERS, phase_curve
+from .solvers import SOLVERS, _check_noise, phase_curve
 from .util import canonical_json, parallel_map, write_csv
 
 EXIT_OK = 0
@@ -190,6 +190,7 @@ def run_phase(args, parser):
         parser.error("--k-list must be nonempty and strictly ascending")
     if args.fresh_matrix and not args.ensemble:
         parser.error("--fresh-matrix needs an --ensemble source")
+    _check_noise(args.noise)
     matrix, source = _resolve_matrix(args, parser)
     if args.fresh_matrix:
         spec = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed)
@@ -222,6 +223,7 @@ def run_phase(args, parser):
 def run_separate(args, parser):
     if args.nx < 0 or args.ne < 0:
         parser.error("--nx and --ne must be >= 0")
+    _check_noise(args.noise)
     if args.preset:
         if args.n is None:
             parser.error("--preset needs --n")

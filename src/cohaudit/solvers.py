@@ -8,6 +8,7 @@ the trial harnesses, which use keyed streams.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from ._streams import k_subset, stream, substream_seed
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
+from .ripcheck import _chunks
 from .util import frozen_copy, parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
@@ -26,6 +28,12 @@ NOISELESS_SUCCESS_TOL = 1e-4
 # lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
 _GAP_RTOL = 1e-6
 _GAP_CHECK = 10
+
+# Least-squares blocks, relative to a block's largest diagonal entry: the
+# ridge added to a rank-deficient block, and the squared Cholesky pivot of
+# the ridged block below which a column counts as dependent on the others.
+_RIDGE = 1e-12
+_DEPENDENT_PIVOT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,51 +112,107 @@ class PhasePoint:
     ci_high: float
 
 
+class _Operand:
+    """A matrix with its IHT step 1 / ||M||_2^2, computed once per operand."""
+
+    def __init__(self, matrix):
+        self.data = matrix.data if isinstance(matrix, MeasurementMatrix) \
+            else np.asarray(matrix, dtype=np.float64)
+
+    @cached_property
+    def step(self):
+        nrm = operator_norm(self.data)
+        return 1.0 / (nrm * nrm) if nrm > 0 else 1.0
+
+
 def _operands(matrix, y):
     """The matrix as a float array and y as a vector of matching length."""
-    data = matrix.data if isinstance(matrix, MeasurementMatrix) \
-        else np.asarray(matrix, dtype=np.float64)
+    data = _Operand(matrix).data
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != data.shape[0]:
         raise DimensionError(f"y has length {y.size}, matrix has {data.shape[0]} rows")
     return data, y
 
 
-def _lstsq(sub, y, flags):
-    """Least squares with a ridge fallback on rank deficiency.
+def _check_k(k, solver, rows, cols):
+    """Reject a solver name or sparsity k that the solver cannot take."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+    if solver == "omp" and not 0 <= k <= min(rows, cols):
+        raise DomainError(f"need 0 <= k <= min(rows, cols) = {min(rows, cols)}, got {k}")
+    if not 0 <= k <= cols:
+        raise DomainError(f"need 0 <= k <= {cols}, got {k}")
 
-    The fallback adds 'regularized' to the solver's flags list, once.
+
+def _flag(flags, columns, name):
+    for t in columns:
+        if name not in flags[t]:
+            flags[t].append(name)
+
+
+def _fit(data, corr_y, idx, mask, flags):
+    """Least squares of column idx[t] of Y on the columns of M set in mask[:, t], each t.
+
+    Solves the normal equations on stacked Gram blocks M_S^T M_S against
+    corr_y = M^T Y, padded to one size by an identity block; a single
+    right-hand side pays for its own block only, never for all of M^T M.
+    A column in the span of the others has the squared Cholesky pivot
+    ridge * (1 + |a|^2) in its ridged block, a its coefficients on them;
+    an independent column adds its squared distance from that span.  A
+    block with such a column is solved with the ridge and flagged
+    'regularized'.
     """
-    coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-    if rank < sub.shape[1]:
-        gram = sub.T @ sub + 1e-12 * np.eye(sub.shape[1])
-        coef = np.linalg.solve(gram, sub.T @ y)
-        if "regularized" not in flags:
-            flags.append("regularized")
-    return coef
+    order = np.argsort(~mask, axis=0, kind="stable")[:mask.sum(axis=0).max()]
+    sets, real = order.T, np.take_along_axis(mask, order, axis=0).T
+    eye = np.eye(sets.shape[1])
+    rhs = np.where(real, corr_y[sets, idx[:, None]], 0.0)
+    coef = np.empty(sets.shape)
+    for sl in _chunks(idx.size, sets.shape[1], data.shape[0]):
+        sub, r = data.T[sets[sl]], real[sl]
+        blocks = np.where(r[:, :, None] & r[:, None, :], sub @ sub.transpose(0, 2, 1), eye)
+        scale = np.max(np.diagonal(blocks, axis1=1, axis2=2), axis=1)
+        ridged = blocks + (_RIDGE * scale)[:, None, None] * eye
+        pivots = np.diagonal(np.linalg.cholesky(ridged), axis1=1, axis2=2)
+        singular = np.any(pivots * pivots <= _DEPENDENT_PIVOT * scale[:, None], axis=1)
+        _flag(flags, idx[sl][singular], "regularized")
+        system = np.where(singular[:, None, None], ridged, blocks)
+        coef[sl] = np.linalg.solve(system, rhs[sl, :, None])[:, :, 0]
+    full = np.zeros(mask.shape)
+    full[sets[real], np.nonzero(real)[0]] = coef[real]
+    return full
+
+
+def _top_k(mag, k):
+    """Mask of the k largest entries of mag, per column, ties to the lower index."""
+    n = mag.shape[0]
+    if k <= 0:
+        return np.zeros(mag.shape, dtype=bool)
+    kth = np.partition(mag, max(n - k, 0), axis=0)[max(n - k, 0)]
+    keep = mag >= kth
+    extra = keep.sum(axis=0) - k
+    if np.any(extra > 0):
+        # more entries tie at the k-th magnitude than there are places left
+        tie = mag == kth
+        keep &= ~tie | (np.cumsum(tie, axis=0) <= tie.sum(axis=0) - extra)
+    return keep
 
 
 def hard_threshold(v, k):
     """Keep the k largest-magnitude entries, ties resolved to lower index."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    out = np.zeros_like(v)
-    if k == 0:
-        return out
-    if k >= v.size:
-        return v.copy()
-    keep = _top_indices(v, k)
-    out[keep] = v[keep]
-    return out
-
-
-def _top_indices(v, m):
-    """Indices of the m largest-magnitude entries, ties to the lower index."""
-    return np.lexsort((np.arange(v.size), -np.abs(v)))[:m]
+    return np.where(_top_k(np.abs(v), k), v, 0.0)
 
 
 def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _results(estimates, iterations, rnorms, converged, flags):
+    return [SolveResult(estimate=estimates[:, t], iterations=int(iterations[t]),
+                        residual_norm=float(rnorms[t]), converged=bool(converged[t]),
+                        flags=tuple(flags[t]))
+            for t in range(estimates.shape[1])]
 
 
 def omp(matrix, y, k=None, residual_tol=None):
@@ -158,46 +222,48 @@ def omp(matrix, y, k=None, residual_tol=None):
     residual_tol, whichever is requested (at least one must be).  Ties
     in atom selection go to the lowest index.  A repeated selection
     means the residual is orthogonal to every remaining atom; the solver
-    stops and flags 'stalled'.
+    stops and flags 'stalled'.  A selection dependent on the atoms
+    already chosen is fitted with a small ridge and flagged 'regularized'.
     """
     data, y = _operands(matrix, y)
-    n, cols = data.shape
+    return _omp(_Operand(data), y[:, None], k, residual_tol)[0]
+
+
+def _omp(op, ys, k=None, residual_tol=None):
+    """omp on each column of ys; two matrix products and one block fit per step."""
+    data = op.data
     if k is None and residual_tol is None:
         raise ValueError("need a sparsity target k or a residual_tol")
-    if k is not None and not 0 <= k <= min(n, cols):
-        raise DomainError(f"need 0 <= k <= min(rows, cols) = {min(n, cols)}, got {k}")
-    limit = k if k is not None else min(n, cols)
-    rnorm = float(np.linalg.norm(y))
-    if rnorm == 0.0:
-        return SolveResult(estimate=np.zeros(cols), iterations=0,
-                           residual_norm=0.0, converged=True)
-    flags = []
-    support = []
-    coef = np.zeros(0)
-    resid = y.copy()
-    it = 0
-    chosen = set()
-    while it < limit:
-        if residual_tol is not None and rnorm <= residual_tol:
+    if k is not None:
+        _check_k(k, "omp", *data.shape)
+    x = np.zeros((data.shape[1], ys.shape[1]))
+    chosen = np.zeros(x.shape, dtype=bool)
+    resid = ys.copy()
+    rnorm = np.linalg.norm(ys, axis=0)
+    live = rnorm > 0.0
+    iterations = np.zeros(ys.shape[1], dtype=int)
+    flags = [[] for _ in iterations]
+    corr_y = data.T @ ys
+    for _ in range(k if k is not None else min(data.shape)):
+        if residual_tol is not None:
+            live &= rnorm > residual_tol
+        idx = np.flatnonzero(live)
+        picks = np.argmax(np.abs(data.T @ resid[:, idx]), axis=0)
+        repeat = chosen[picks, idx]
+        _flag(flags, idx[repeat], "stalled")
+        live[idx[repeat]] = False
+        idx, picks = idx[~repeat], picks[~repeat]
+        if idx.size == 0:
             break
-        corr = data.T @ resid
-        j = int(np.argmax(np.abs(corr)))
-        if j in chosen:
-            flags.append("stalled")
-            break
-        chosen.add(j)
-        support.append(j)
-        coef = _lstsq(data[:, support], y, flags)
-        resid = y - data[:, support] @ coef
-        rnorm = float(np.linalg.norm(resid))
-        it += 1
-    x = np.zeros(cols)
-    if support:
-        x[support] = coef
-    converged = ((k is not None and len(support) == k)
-                 or (residual_tol is not None and rnorm <= residual_tol))
-    return SolveResult(estimate=x, iterations=it, residual_norm=rnorm,
-                       converged=converged, flags=tuple(flags))
+        chosen[picks, idx] = True
+        x[:, idx] = _fit(data, corr_y, idx, chosen[:, idx], flags)
+        resid[:, idx] = ys[:, idx] - data @ x[:, idx]
+        rnorm[idx] = np.linalg.norm(resid[:, idx], axis=0)
+        iterations[idx] += 1
+    converged = (np.linalg.norm(ys, axis=0) == 0.0) | (iterations == k)
+    if residual_tol is not None:
+        converged |= rnorm <= residual_tol
+    return _results(x, iterations, rnorm, converged, flags)
 
 
 def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
@@ -208,37 +274,45 @@ def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
     over a 50-iteration window.
     """
     data, y = _operands(matrix, y)
-    cols = data.shape[1]
-    if not 0 <= k <= cols:
-        raise DomainError(f"need 0 <= k <= {cols}, got {k}")
+    return _iht(_Operand(data), y[:, None], k, step, max_iter, tol)[0]
+
+
+def _iht(op, ys, k, step="auto", max_iter=1000, tol=1e-10):
+    """iht on each column of ys: two products and a per-column top-k per iteration."""
+    data = op.data
+    _check_k(k, "iht", *data.shape)
+    x = np.zeros((data.shape[1], ys.shape[1]))
+    iterations = np.zeros(ys.shape[1], dtype=int)
+    converged = np.zeros(ys.shape[1], dtype=bool)
+    flags = [[] for _ in iterations]
     if step == "auto":
-        nrm = operator_norm(data)
-        step = 1.0 / (nrm * nrm) if nrm > 0 else 1.0
+        step = op.step
     elif step <= 0:
-        return SolveResult(estimate=np.zeros(cols), iterations=0,
-                           residual_norm=float(np.linalg.norm(y)),
-                           converged=False, flags=("bad-step",))
-    x = np.zeros(cols)
-    flags = []
-    history = []
-    converged = False
-    it = 0
+        return _results(x, iterations, np.linalg.norm(ys, axis=0), converged,
+                        [["bad-step"]] * ys.shape[1])
+    history = np.empty((max_iter, ys.shape[1]))
+    idx = np.arange(ys.shape[1])  # the live columns; xs and live_ys hold theirs
+    xs, live_ys = x, ys
     for it in range(1, max_iter + 1):
-        resid = y - data @ x
-        rnorm = float(np.linalg.norm(resid))
-        history.append(rnorm)
-        if len(history) > 50 and rnorm > 10.0 * history[-51]:
-            flags.append("diverged")
-            break
-        x_next = hard_threshold(x + step * (data.T @ resid), k)
-        delta = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if delta <= tol:
-            converged = True
-            break
-    return SolveResult(estimate=x, iterations=it,
-                       residual_norm=float(np.linalg.norm(y - data @ x)),
-                       converged=converged, flags=tuple(flags))
+        resid = live_ys - data @ xs
+        rnorm = np.linalg.norm(resid, axis=0)
+        history[it - 1, idx] = rnorm
+        iterations[idx] = it
+        grew = rnorm > 10.0 * history[it - 51, idx] if it > 50 else np.zeros(idx.size, bool)
+        moved = xs + step * (data.T @ resid)
+        x_next = np.where(_top_k(np.abs(moved), k), moved, 0.0)
+        done = ~grew & (np.linalg.norm(x_next - xs, axis=0) <= tol)
+        x_next[:, grew] = xs[:, grew]
+        xs, stop = x_next, done | grew
+        if stop.any():
+            x[:, idx[stop]] = xs[:, stop]
+            converged[idx[done]] = True
+            _flag(flags, idx[grew], "diverged")
+            idx, xs, live_ys = idx[~stop], xs[:, ~stop], live_ys[:, ~stop]
+            if idx.size == 0:
+                break
+    x[:, idx] = xs
+    return _results(x, iterations, np.linalg.norm(ys - data @ x, axis=0), converged, flags)
 
 
 def cosamp(matrix, y, k, max_iter=100):
@@ -246,45 +320,46 @@ def cosamp(matrix, y, k, max_iter=100):
 
     Returns the lowest-residual iterate seen.  Stops on a relative
     residual of 1e-10 or when the residual stops improving ('stagnated').
+    A rank-deficient least-squares step is fitted with a small ridge and
+    flagged 'regularized'.
     """
     data, y = _operands(matrix, y)
-    cols = data.shape[1]
-    if not 0 <= k <= cols:
-        raise DomainError(f"need 0 <= k <= {cols}, got {k}")
-    ynorm = float(np.linalg.norm(y))
-    if k == 0 or ynorm == 0.0:
-        return SolveResult(estimate=np.zeros(cols), iterations=0,
-                           residual_norm=ynorm, converged=True)
-    flags = []
-    x = np.zeros(cols)
-    resid = y.copy()
-    best_x = x
-    best_rnorm = ynorm
-    prev_rnorm = math.inf
-    converged = False
-    it = 0
+    return _cosamp(_Operand(data), y[:, None], k, max_iter)[0]
+
+
+def _cosamp(op, ys, k, max_iter=100):
+    """cosamp on each column of ys; two matrix products and one block fit per step."""
+    data = op.data
+    _check_k(k, "cosamp", *data.shape)
+    ynorm = np.linalg.norm(ys, axis=0)
+    x = np.zeros((data.shape[1], ys.shape[1]))
+    best = x.copy()
+    best_rnorm, prev_rnorm = ynorm.copy(), np.full(ynorm.shape, math.inf)
+    iterations = np.zeros(ys.shape[1], dtype=int)
+    converged = (ynorm == 0.0) | (k == 0)
+    flags = [[] for _ in iterations]
+    resid = ys.copy()
+    corr_y = data.T @ ys
+    idx = np.flatnonzero(~converged)
     for it in range(1, max_iter + 1):
-        proxy = data.T @ resid
-        merged = np.union1d(_top_indices(proxy, min(2 * k, cols)),
-                            np.flatnonzero(x))
-        coef = _lstsq(data[:, merged], y, flags)
-        full = np.zeros(cols)
-        full[merged] = coef
-        x = hard_threshold(full, k)
-        resid = y - data @ x
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm < best_rnorm:
-            best_rnorm = rnorm
-            best_x = x
-        if rnorm <= 1e-10 * ynorm:
-            converged = True
+        if idx.size == 0:
             break
-        if prev_rnorm - rnorm <= 1e-12 * ynorm:
-            flags.append("stagnated")
-            break
-        prev_rnorm = rnorm
-    return SolveResult(estimate=best_x, iterations=it, residual_norm=best_rnorm,
-                       converged=converged, flags=tuple(flags))
+        iterations[idx] = it
+        merged = _top_k(np.abs(data.T @ resid[:, idx]), 2 * k) | (x[:, idx] != 0.0)
+        full = _fit(data, corr_y, idx, merged, flags)
+        x[:, idx] = np.where(_top_k(np.abs(full), k), full, 0.0)
+        resid[:, idx] = ys[:, idx] - data @ x[:, idx]
+        rnorm = np.linalg.norm(resid[:, idx], axis=0)
+        better = rnorm < best_rnorm[idx]
+        best[:, idx[better]] = x[:, idx[better]]
+        best_rnorm[idx[better]] = rnorm[better]
+        done = rnorm <= 1e-10 * ynorm[idx]
+        converged[idx[done]] = True
+        stuck = ~done & (prev_rnorm[idx] - rnorm <= 1e-12 * ynorm[idx])
+        _flag(flags, idx[stuck], "stagnated")
+        prev_rnorm[idx] = rnorm
+        idx = idx[~(done | stuck)]
+    return _results(best, iterations, best_rnorm, converged, flags)
 
 
 def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
@@ -475,10 +550,14 @@ def _plant(rng, cols, k):
     return x
 
 
-def _observe(clean, noise_sigma, seed, *tags):
-    """clean plus Gaussian noise of noise_sigma drawn from stream(seed, *tags)."""
+def _check_noise(noise_sigma):
     if not 0 <= noise_sigma < math.inf:
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+
+
+def _observe(clean, noise_sigma, seed, *tags):
+    """clean plus Gaussian noise of noise_sigma drawn from stream(seed, *tags)."""
+    _check_noise(noise_sigma)
     if noise_sigma > 0:
         return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.size)
     return clean
@@ -502,19 +581,32 @@ def _bpdn_epsilon(noise_sigma, rows):
     return 1.1 * noise_sigma * math.sqrt(rows) if noise_sigma > 0 else 0.0
 
 
-def _run_solver(matrix, y, k, solver, noise_sigma, options):
+def _trials(op, k, solver, noise_sigma, seeds, options=None):
+    """One planted recovery trial per seed, solved together as the columns of Y."""
+    rows, cols = op.data.shape
+    _check_k(k, solver, rows, cols)
+    truths = [_plant(stream(seed, "signal", k), cols, k) for seed in seeds]
+    ys = np.column_stack([_observe(op.data @ x, noise_sigma, seed, "noise", k)
+                          for x, seed in zip(truths, seeds)])
     opts = dict(options or {})
-    if solver == "omp":
-        opts.setdefault("k", k)
-        return omp(matrix, y, **opts)
-    if solver == "iht":
-        return iht(matrix, y, k, **opts)
-    if solver == "cosamp":
-        return cosamp(matrix, y, k, **opts)
     if solver == "bpdn":
-        opts.setdefault("epsilon", _bpdn_epsilon(noise_sigma, matrix.rows))
-        return bpdn(matrix, y, **opts)
-    raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+        opts.setdefault("epsilon", _bpdn_epsilon(noise_sigma, rows))
+        solved = [bpdn(op.data, y, **opts) for y in ys.T]
+    else:
+        solved = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver](op, ys, k, **opts)
+    out = []
+    for x, seed, res in zip(truths, seeds, solved):
+        rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
+        hits = len(est_sup & true_sup)
+        precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
+        recall = hits / len(true_sup) if true_sup else 1.0
+        success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
+        out.append(TrialResult(k=k, seed=seed, solver=solver, rel_error=rel,
+                               support_precision=precision, support_recall=recall,
+                               success=success, iterations=res.iterations,
+                               residual_norm=res.residual_norm,
+                               converged=res.converged, flags=res.flags))
+    return out
 
 
 def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
@@ -524,22 +616,7 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
     means the estimated support (entries above 10 * noise_sigma) matches
     the true support exactly.
     """
-    cols = matrix.cols
-    if not 0 <= k <= cols:
-        raise DomainError(f"need 0 <= k <= {cols}, got {k}")
-    x = _plant(stream(seed, "signal", k), cols, k)
-    y = _observe(matrix.data @ x, noise_sigma, seed, "noise", k)
-    res = _run_solver(matrix, y, k, solver, noise_sigma, solver_options)
-    rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
-    hits = len(est_sup & true_sup)
-    precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
-    recall = hits / len(true_sup) if true_sup else 1.0
-    success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
-    return TrialResult(k=k, seed=seed, solver=solver, rel_error=rel,
-                       support_precision=precision, support_recall=recall,
-                       success=success, iterations=res.iterations,
-                       residual_norm=res.residual_norm, converged=res.converged,
-                       flags=res.flags)
+    return _trials(_Operand(matrix), k, solver, noise_sigma, [seed], solver_options)[0]
 
 
 def wilson_interval(successes, trials):
@@ -567,8 +644,11 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
 
     source is a MeasurementMatrix (fixed-matrix mode) or an EnsembleSpec;
     fresh_matrix=True redraws the matrix per trial and needs a spec.
-    Per-trial seeds are keyed substreams of (seed, k, trial), so the
-    curve is reproducible at any thread count.
+    Every k is checked against the solver before the first trial.  With a
+    fixed matrix the trials of one k are solved together, on one cached
+    Gram matrix.  Per-trial seeds are keyed substreams of (seed, k, trial)
+    and threads share out whole k, so the curve is reproducible at any
+    thread count.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -580,22 +660,25 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
     if fresh_matrix and not isinstance(source, EnsembleSpec):
         raise ValueError("fresh_matrix mode needs an EnsembleSpec source")
     fixed = source if isinstance(source, MeasurementMatrix) else None
+    for k in k_list:
+        _check_k(k, solver, source.rows, source.cols)
     if fixed is None and not fresh_matrix:
         fixed = generate(source)
+    op = _Operand(fixed) if fixed is not None else None
 
-    points = []
-    for k in k_list:
-        def one(trial, k=k):
-            mat = fixed
-            if mat is None:
-                spec = EnsembleSpec(source.ensemble, source.rows, source.cols,
-                                    substream_seed(seed, "matrix", k, trial))
-                mat = generate(spec)
-            return recovery_trial(mat, k, solver, noise_sigma,
-                                  substream_seed(seed, "trial", k, trial))
-        results = parallel_map(one, range(trials), threads)
+    def point(k):
+        seeds = [substream_seed(seed, "trial", k, trial) for trial in range(trials)]
+        if op is not None:
+            results = _trials(op, k, solver, noise_sigma, seeds)
+        else:
+            results = [recovery_trial(
+                generate(EnsembleSpec(source.ensemble, source.rows, source.cols,
+                                      substream_seed(seed, "matrix", k, trial))),
+                k, solver, noise_sigma, trial_seed)
+                for trial, trial_seed in enumerate(seeds)]
         wins = sum(1 for r in results if r.success)
         lo, hi = wilson_interval(wins, trials)
-        points.append(PhasePoint(k=k, trials=trials, successes=wins,
-                                 rate=wins / trials, ci_low=lo, ci_high=hi))
-    return points
+        return PhasePoint(k=k, trials=trials, successes=wins,
+                          rate=wins / trials, ci_low=lo, ci_high=hi)
+
+    return parallel_map(point, k_list, threads)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cohaudit
 from cohaudit import ENSEMBLES, EnsembleSpec, MeasurementMatrix, generate, save_matrix
-from cohaudit import cli
+from cohaudit import cli, solvers
 from cohaudit.cli import main
 from cohaudit.solvers import SOLVERS
 
@@ -328,6 +328,44 @@ def test_phase_infinite_noise_is_data_error(solver, capsys):
                     "--noise", "inf"])
     assert code == 1
     assert capsys.readouterr().err == "error: noise_sigma must be finite and >= 0, got inf\n"
+
+
+def unreachable(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the bad input was rejected")
+    return fail
+
+
+@pytest.mark.parametrize("solver, k_list, limit", [("omp", "5,10,21", "min(rows, cols) = 20"),
+                                                   ("cosamp", "5,51", "50")],
+                         ids=["omp", "cosamp"])
+def test_phase_k_past_solver_limit_fails_before_any_trial(monkeypatch, capsys, solver,
+                                                          k_list, limit):
+    # a k the solver cannot take used to fail only once that k's first
+    # trial ran, after every trial of the smaller k
+    monkeypatch.setattr(solvers, "_trials", unreachable("a trial"))
+    monkeypatch.setattr(solvers, "recovery_trial", unreachable("a trial"))
+    code = run_cli(["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "50",
+                    "--k-list", k_list, "--solver", solver, "--trials", "50"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: need 0 <= k <= {limit}, got {k_list.split(',')[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30", "--k-list", "2",
+     "--solver", "omp", "--noise", "-1"],
+    ["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30", "--k-list", "2",
+     "--solver", "bpdn", "--noise", "nan"],
+    ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
+     "--noise", "-1"],
+])
+def test_bad_noise_fails_before_any_work(monkeypatch, capsys, argv):
+    for name in ("generate", "spikes_fourier_pair", "separation_feasibility"):
+        monkeypatch.setattr(cli, name, unreachable(name))
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: noise_sigma must be finite and >= 0, got {float(argv[-1])}\n"
 
 
 FUZZ_VALUES = st.sampled_from(["-1", "0", "0.01", "nan", "inf"])

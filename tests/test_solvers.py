@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_solvers as ref
 from cohaudit import (
     DimensionError,
     DomainError,
@@ -21,6 +22,9 @@ from cohaudit import (
     soft_threshold,
     wilson_interval,
 )
+from cohaudit import solvers
+from cohaudit._streams import substream_seed
+from cohaudit.linalg import operator_norm
 
 
 def test_sparse_signal_roundtrip():
@@ -49,6 +53,30 @@ def test_hard_threshold_ties_pick_lower_index():
     out = hard_threshold(np.array([1.0, -1.0, 1.0, 0.5]), 2)
     assert np.array_equal(out, [1.0, -1.0, 0.0, 0.0])
     assert np.array_equal(hard_threshold(np.array([1.0, 2.0]), 0), [0.0, 0.0])
+
+
+def tied(size, max_size):
+    """Integer-valued vectors: few distinct magnitudes, so many ties."""
+    return st.lists(st.integers(-3, 3).map(float), min_size=size, max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=tied(1, 40), k=st.integers(0, 45))
+def test_top_k_ties_match_lexsort(v, k):
+    v = np.array(v)
+    keep = np.flatnonzero(solvers._top_k(np.abs(v), k))
+    assert keep.tolist() == sorted(np.lexsort((np.arange(v.size), -np.abs(v)))[:k])
+    assert np.array_equal(hard_threshold(v, k), ref.hard_threshold(v, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.lists(tied(12, 12), min_size=1, max_size=6), k=st.integers(0, 14))
+def test_top_k_per_column_matches_lexsort(columns, k):
+    block = np.array(columns).T
+    keep = solvers._top_k(np.abs(block), k)
+    for t, v in enumerate(block.T):
+        assert np.flatnonzero(keep[:, t]).tolist() == \
+            sorted(np.lexsort((np.arange(v.size), -np.abs(v)))[:k])
 
 
 def test_soft_threshold_values():
@@ -437,6 +465,9 @@ def test_phase_curve_fresh_matrix_mode():
     ("cosamp", 0.0, [2, 6, 10, 14], [20, 20, 17, 3]),
     ("bpdn", 0.0, [2, 6, 10, 14], [20, 20, 20, 17]),
     ("bpdn", 0.01, [2, 6], [19, 12]),
+    ("omp", 0.01, [2, 6, 10, 14], [19, 14, 7, 5]),
+    ("iht", 0.01, [2, 6, 10, 14], [14, 4, 0, 0]),
+    ("cosamp", 0.01, [2, 6, 10, 14], [19, 16, 8, 1]),
 ])
 def test_phase_curve_pinned_success_counts(solver, noise, k_list, successes):
     # pins the planted-trial stream layout: a change here changes every
@@ -444,3 +475,76 @@ def test_phase_curve_pinned_success_counts(solver, noise, k_list, successes):
     m = generate(EnsembleSpec("gaussian", 40, 80, 3))
     points = phase_curve(m, k_list, solver, 20, noise, 5)
     assert [p.successes for p in points] == successes
+
+
+def spikes_with_copies():
+    """30 spikes, then copies of the first five and negated copies of the next five."""
+    eye = np.eye(30)
+    return MeasurementMatrix(np.hstack([eye, eye[:, :5], -eye[:, 5:10]]))
+
+
+@pytest.mark.parametrize("dictionary, solver, options, noise, flags", [
+    ("gaussian", "omp", {}, 0.0, set()),
+    ("gaussian", "omp", {}, 0.01, set()),
+    ("gaussian", "cosamp", {}, 0.0, {"regularized", "stagnated"}),
+    ("gaussian", "cosamp", {}, 0.01, {"regularized", "stagnated"}),
+    ("gaussian", "iht", {"max_iter": 300}, 0.0, set()),
+    ("gaussian", "iht", {"max_iter": 300}, 0.01, set()),
+    ("gaussian", "iht", {"step": 10.0, "max_iter": 300}, 0.0, {"diverged"}),
+    ("spikes", "omp", {}, 0.01, set()),
+    ("spikes", "cosamp", {}, 0.0, {"regularized", "stagnated"}),
+    ("spikes", "cosamp", {}, 0.01, {"regularized", "stagnated"}),
+    ("spikes", "iht", {"max_iter": 300}, 0.0, set()),
+    ("spikes", "iht", {"step": 10.0, "max_iter": 300}, 0.01, {"diverged"}),
+])
+def test_batched_trials_match_per_trial_reference(dictionary, solver, options, noise, flags):
+    # The spikes dictionary has exact copies and negated copies, and every
+    # product on it is exact, so a rank-deficient step is decided the same
+    # way by both paths.  Noiseless omp on it is left to the block test
+    # below: after an exact fit the reference's lstsq leaves a residual of
+    # order 1e-16, whose argmax, not the data, decides between 'stalled'
+    # and one more atom.
+    m = generate(EnsembleSpec("gaussian", 30, 60, 8)) if dictionary == "gaussian" \
+        else spikes_with_copies()
+    op = solvers._Operand(m)
+    seen = set()
+    for k in (2, 6, 10, 14):
+        seeds = [substream_seed(4, "trial", k, t) for t in range(12)]
+        batched = [(r.success, r.iterations, r.converged, r.flags)
+                   for r in solvers._trials(op, k, solver, noise, seeds, options)]
+        reference = [ref.recovery_trial(m.data, k, solver, noise, seed, **options)
+                     for seed in seeds]
+        assert batched == reference
+        seen.update(f for r in reference for f in r[3])
+    assert flags <= seen
+
+
+def test_batched_omp_stops_each_column_on_its_own():
+    # exact arithmetic: after two atoms the first column's residual is 0, so
+    # the pick falls to column 0, which is in their span ('regularized'),
+    # then repeats ('stalled'); the others stall after one or two atoms
+    r = 1.0 / np.sqrt(2.0)
+    data = np.array([[r, 1, 0, 0], [r, 0, 1, 0], [0, 0, 0, 1.0], [0, 0, 0, 0]])
+    ys = np.array([[1, 0.3, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 2.0, 0]]).T
+    batched = solvers._omp(solvers._Operand(data), ys, 4)
+    got = [(r.iterations, r.converged, r.flags) for r in batched]
+    assert got == [(3, False, ("regularized", "stalled")), (0, True, ()),
+                   (1, False, ("stalled",)), (2, False, ("stalled",))]
+    for res, y in zip(batched, ys.T):
+        want = ref.omp(data, y, 4)
+        assert (res.iterations, res.converged, res.flags) == \
+            (want.iterations, want.converged, want.flags)
+        # a rank-deficient fit has many coefficient vectors, one fitted value
+        assert np.allclose(data @ res.estimate, data @ want.estimate, atol=1e-12)
+
+
+def test_phase_curve_computes_the_iht_step_once(monkeypatch, gauss_100x500):
+    calls = []
+
+    def counted(data):
+        calls.append(data.shape)
+        return operator_norm(data)
+
+    monkeypatch.setattr(solvers, "operator_norm", counted)
+    phase_curve(gauss_100x500, [1, 2, 3], "iht", 4, 0.0, 0)
+    assert calls == [(100, 500)]
