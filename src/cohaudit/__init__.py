@@ -85,7 +85,6 @@ from .solvers import (
     omp,
     phase_curve,
     recovery_trial,
-    soft_threshold,
     wilson_interval,
 )
 

@@ -31,14 +31,11 @@ from .util import canonical_json, parallel_map, write_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
-EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
 def _add_source_args(sub):
     sub.add_argument("--matrix", help="path to a matrix file (csv or binary)")
-    sub.add_argument("--format", choices=("auto", "csv", "binary"), default="auto",
-                     help="matrix file format (default: sniff)")
     sub.add_argument("--ensemble", choices=ENSEMBLES, help="generate instead of load")
     sub.add_argument("--rows", type=int, help="rows for --ensemble")
     sub.add_argument("--cols", type=int, help="cols for --ensemble")
@@ -62,8 +59,7 @@ def _resolve_matrix(args, parser):
     if args.matrix and args.ensemble:
         parser.error("give either --matrix or --ensemble, not both")
     if args.matrix:
-        fmt = None if args.format == "auto" else args.format
-        matrix = normalize_columns(load_matrix(args.matrix, fmt))
+        matrix = normalize_columns(load_matrix(args.matrix))
         source = {"kind": "file", "path": args.matrix,
                   "rows": matrix.rows, "cols": matrix.cols}
         return matrix, source
@@ -192,11 +188,10 @@ def run_phase(args, parser):
         parser.error("--fresh-matrix needs an --ensemble source")
     _check_noise(args.noise)
     matrix, source = _resolve_matrix(args, parser)
-    if args.fresh_matrix:
-        spec = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed)
-        curve_source = spec
-    else:
-        curve_source = matrix
+    # a matrix without a coherence profile fails here, before any trial
+    thresholds = _thresholds(profile(coherence_sample(matrix)))
+    curve_source = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed) \
+        if args.fresh_matrix else matrix
     points = phase_curve(curve_source, k_list, args.solver, args.trials,
                          args.noise, args.seed, fresh_matrix=args.fresh_matrix,
                          threads=args.threads)
@@ -208,7 +203,7 @@ def run_phase(args, parser):
         "trials": args.trials,
         "fresh_matrix": args.fresh_matrix,
         "points": [asdict(p) for p in points],
-        "thresholds": _thresholds(profile(coherence_sample(matrix))),
+        "thresholds": thresholds,
     }
     if args.csv:
         write_csv(args.csv, "k,trials,successes,rate,ci_low,ci_high",

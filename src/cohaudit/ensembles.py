@@ -84,15 +84,22 @@ def real_fourier_frame(n):
     """
     if n < 1:
         raise DimensionError(f"frame size must be >= 1, got {n}")
+    return _fourier_rows(n, np.arange(n))
+
+
+def _fourier_rows(n, picked):
+    """Rows picked of real_fourier_frame(n), without building the other rows."""
     t = np.arange(n)
-    rows = [np.full(n, 1.0 / np.sqrt(n))]
-    for f in range(1, (n - 1) // 2 + 1):
-        w = 2.0 * np.pi * f * t / n
-        rows.append(np.sqrt(2.0 / n) * np.cos(w))
-        rows.append(np.sqrt(2.0 / n) * np.sin(w))
-    if n % 2 == 0 and n > 1:
-        rows.append(np.where(t % 2 == 0, 1.0, -1.0) / np.sqrt(n))
-    return np.vstack(rows)
+    # row 2f - 1 is the cosine and row 2f the sine at frequency f
+    rows = 2.0 * np.pi * ((picked + 1) // 2)[:, None] * t / n
+    odd = picked % 2 == 1
+    rows[odd] = np.cos(rows[odd])
+    rows[~odd] = np.sin(rows[~odd])
+    rows *= np.sqrt(2.0 / n)
+    rows[picked == 0] = 1.0 / np.sqrt(n)
+    if n % 2 == 0:
+        rows[picked == n - 1] = np.where(t % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+    return rows
 
 
 def generate_raw(spec):
@@ -108,9 +115,7 @@ def generate_raw(spec):
     elif spec.ensemble == "bernoulli":
         raw = (2.0 * rng.integers(0, 2, size=(spec.rows, spec.cols)) - 1.0) / np.sqrt(spec.rows)
     else:
-        frame = real_fourier_frame(spec.cols)
-        picked = k_subset(rng, spec.cols, spec.rows)
-        raw = frame[picked]
+        raw = _fourier_rows(spec.cols, k_subset(rng, spec.cols, spec.rows))
     return MeasurementMatrix(raw, ensemble_tag=spec.ensemble)
 
 

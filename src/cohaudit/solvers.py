@@ -1,7 +1,7 @@
 """Sparse recovery solvers and Monte Carlo recovery harnesses.
 
-Greedy (omp, cosamp), thresholding (iht), and convex (lasso by monotone
-FISTA, bpdn by the exact lasso homotopy path).  All solvers are
+Greedy (omp, cosamp), thresholding (iht), and convex (lasso and bpdn,
+both on the exact lasso homotopy path).  All solvers are
 deterministic functions of their inputs; randomness only enters through
 the trial harnesses, which use keyed streams.
 """
@@ -24,10 +24,6 @@ SOLVERS = ("omp", "iht", "cosamp", "bpdn")
 # Relative reconstruction error below which a noiseless trial counts as
 # an exact recovery.
 NOISELESS_SUCCESS_TOL = 1e-4
-
-# lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
-_GAP_RTOL = 1e-6
-_GAP_CHECK = 10
 
 # Least-squares blocks, relative to a block's largest diagonal entry: the
 # ridge added to a rank-deficient block, and the squared Cholesky pivot of
@@ -71,9 +67,9 @@ class SparseSignal:
         return x
 
     @classmethod
-    def from_dense(cls, x, tol=0.0):
+    def from_dense(cls, x):
         x = np.asarray(x, dtype=np.float64)
-        support = np.flatnonzero(np.abs(x) > tol)
+        support = np.flatnonzero(np.abs(x) > 0.0)
         return cls(dim=x.size, support=support, values=x[support])
 
 
@@ -202,10 +198,6 @@ def hard_threshold(v, k):
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return np.where(_top_k(np.abs(v), k), v, 0.0)
-
-
-def soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def _results(estimates, iterations, rnorms, converged, flags):
@@ -362,122 +354,31 @@ def _cosamp(op, ys, k, max_iter=100):
     return _results(best, iterations, best_rnorm, converged, flags)
 
 
-def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
-    """Minimize 0.5 ||y - M x||^2 + lam ||x||_1 by monotone FISTA from x = 0.
+def _path(data, y, epsilon, lam_stop):
+    """Follow the lasso path x(lam) down from lam = max |M^T y|, where x = 0.
 
-    The iterative reference for bpdn's exact path.  The accepted objective
-    never increases (a worse accelerated step falls back to the previous
-    iterate).  The objective trace is kept in info['objective_trace'].
+    The path (homotopy: Osborne, Presnell & Turlach 2000; Donoho & Tsaig
+    2008) is linear between breakpoints where an atom joins the active set
+    or an active coefficient crosses zero; ||y - M x(lam)|| shrinks as lam
+    falls.  It stops where the residual reaches epsilon > 0, a closed-form
+    root in one segment, or at lam = lam_stop.  Each breakpoint re-solves
+    the active Gram system, so rounding does not accumulate.  A singular
+    active Gram ('singular-gram'), or over 10 breakpoints per column or an
+    emptied active set ('stalled'), stops at the last breakpoint.
 
-    Two stopping criteria: iterate movement below tol (catches exact
-    fixed points immediately), and a duality-gap certificate checked
-    every _GAP_CHECK iterations.  The gap uses the scaled residual as the
-    dual point; rel gap <= _GAP_RTOL bounds the objective suboptimality
-    directly, which the movement heuristic cannot.
+    Returns (x, residual, lam, breakpoints, flags, whether epsilon was reached).
     """
-    data, y = _operands(matrix, y)
-    cols = data.shape[1]
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
-    nrm = operator_norm(data)
-    lipschitz = max(nrm * nrm, np.finfo(float).tiny)
-    x = np.zeros(cols)
-
-    def objective(v, resid):
-        return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(v)))
-
-    def rel_gap(v, fv):
-        r = y - data @ v
-        corr = float(np.max(np.abs(data.T @ r))) if cols else 0.0
-        scale = 1.0 if corr <= lam else lam / corr
-        nu = scale * r
-        dual = float(nu @ y) - 0.5 * float(nu @ nu)
-        return (fv - dual) / max(fv, np.finfo(float).tiny)
-
-    z = x.copy()
-    t_acc = 1.0
-    fx = objective(x, y)
-    trace = [fx]
-    converged = False
-    gap = None
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = data.T @ (data @ z - y)
-        u = soft_threshold(z - grad / lipschitz, lam / lipschitz)
-        resid_u = y - data @ u
-        fu = objective(u, resid_u)
-        if fu <= fx:
-            x_new, f_new = u, fu
-        else:
-            x_new, f_new = x, fx
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        # momentum difference is against the previous accepted iterate,
-        # which is still held in x at this point
-        z = x_new + (t_acc / t_next) * (u - x_new) \
-            + ((t_acc - 1.0) / t_next) * (x_new - x)
-        moved = max(float(np.linalg.norm(x_new - x)),
-                    float(np.linalg.norm(u - x_new)))
-        x = x_new
-        fx = f_new
-        t_acc = t_next
-        trace.append(fx)
-        if moved <= tol * max(1.0, float(np.linalg.norm(x))):
-            converged = True
-            break
-        if it % _GAP_CHECK == 0:
-            gap = rel_gap(x, fx)
-            if gap <= _GAP_RTOL:
-                converged = True
-                break
-    resid = y - data @ x
-    return SolveResult(estimate=x, iterations=it,
-                       residual_norm=float(np.linalg.norm(resid)),
-                       converged=converged,
-                       info={"lam": lam, "objective": fx, "rel_gap": gap,
-                             "objective_trace": trace})
-
-
-def bpdn(matrix, y, epsilon):
-    """Basis pursuit denoising: min ||x||_1 s.t. ||y - M x|| <= epsilon.
-
-    Solved exactly on the lasso path x(lam) (homotopy: Osborne, Presnell &
-    Turlach 2000; Donoho & Tsaig 2008), which is linear between breakpoints
-    where an atom joins the active set or an active coefficient crosses
-    zero; ||y - M x(lam)|| shrinks as lam falls.  The path runs from
-    lam = max |M^T y| (x = 0) to where the residual reaches epsilon, a
-    closed-form root in one segment, or to the basis pursuit endpoint
-    lam = 0.  Each breakpoint re-solves the active Gram system, so rounding
-    does not accumulate.
-
-    epsilon >= ||y|| returns the zero vector, which is feasible and
-    l1-minimal.  A path that ends above epsilon is flagged
-    'infeasible-epsilon'; a singular active Gram ('singular-gram') or over
-    10 breakpoints per column ('stalled') returns the last breakpoint.
-    info['lam'] is the returned point's lambda; iterations counts breakpoints.
-    """
-    data, y = _operands(matrix, y)
     rows, cols = data.shape
-    if not 0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0 or epsilon >= ynorm:
-        return SolveResult(estimate=np.zeros(cols), iterations=0,
-                           residual_norm=ynorm, converged=True,
-                           flags=("zero-solution",) if epsilon >= ynorm and ynorm > 0 else (),
-                           info={"lam": 0.0})
     corr = data.T @ y
     lam = float(np.max(np.abs(corr), initial=0.0))
-    if not lam > 0.0:
-        # y is orthogonal to every column; nothing can reduce the residual
-        return SolveResult(estimate=np.zeros(cols), iterations=0,
-                           residual_norm=ynorm, converged=False,
-                           flags=("infeasible-epsilon",), info={"lam": 0.0})
+    if not lam > lam_stop:
+        return np.zeros(cols), y, lam_stop, 0, [], False
     active = [int(np.argmax(np.abs(corr)))]
     signs = [float(np.sign(corr[active[0]]))]
     # the last event may not be undone at once: a joining coefficient starts
     # at zero, and a dropped atom sits on the boundary it left
     joined, left = active[0], None
-    x, resid, lam_x, flags, reached = np.zeros(cols), y, lam, [], False
+    x, resid, lam_x, flags = np.zeros(cols), y, lam, []
     for steps in range(1, 10 * cols + 1):
         sub, s = data[:, active], np.array(signs)
         try:
@@ -491,7 +392,7 @@ def bpdn(matrix, y, epsilon):
         x = np.zeros(cols)
         x[active] = coef
         resid, lam_x = y - sub @ coef, lam
-        if lam == 0.0:
+        if lam == lam_stop:
             break
         # along the segment x_A += g d, r -= g v, c -= g a and lam -= g
         v = sub @ direction
@@ -502,8 +403,13 @@ def bpdn(matrix, y, epsilon):
             # to the active span has a zero denominator and never joins
             up = np.where(1.0 - a > 1e-12, (lam - c) / (1.0 - a), np.inf)
             down = np.where(1.0 + a > 1e-12, (lam + c) / (1.0 + a), np.inf)
+        # an event within rounding of the current point (a tie) happens at it,
+        # and a coefficient zero to rounding leaves only toward the wrong sign
+        near = 1e-9 * lam
         for g in (drop, up, down):
-            g[~(g > 0)] = np.inf
+            g[(g >= -near) & (g <= 0.0)] = 0.0
+            g[~(g >= 0.0)] = np.inf
+        drop[(drop <= near) & (direction * s > 0)] = np.inf
         if joined is not None:
             drop[active.index(joined)] = np.inf
         if left is not None:
@@ -513,33 +419,77 @@ def bpdn(matrix, y, epsilon):
         i, j = int(np.argmin(drop)), int(np.argmin(join))
         # once the active columns span R^rows no atom can join
         gamma = min(drop[i], join[j] if len(active) < rows else np.inf)
-        if gamma >= (1.0 - 1e-9) * lam:
-            gamma = lam  # an event within rounding of the endpoint is the endpoint
+        end = gamma >= (1.0 - 1e-9) * (lam - lam_stop)
+        if end:
+            gamma = lam - lam_stop  # an event within rounding of the endpoint is the endpoint
         if epsilon > 0.0 and np.linalg.norm(resid - gamma * v) <= epsilon:
             # smaller root of ||r - g v||^2 = epsilon^2, in cancellation-free form
             excess = float(resid @ resid) - epsilon * epsilon
             rv, vv = float(resid @ v), float(v @ v)
             root = excess / (rv + math.sqrt(max(rv * rv - vv * excess, 0.0)))
             x[active] = coef + root * direction
-            resid, lam_x, reached = y - sub @ x[active], lam - root, True
-            break
-        lam -= gamma
-        if lam == 0.0:
+            return x, y - sub @ x[active], lam - root, steps, flags, True
+        lam = lam_stop if end else lam - gamma
+        if lam == lam_stop:
             continue
         if gamma == drop[i]:
             joined, left = None, (active.pop(i), signs.pop(i))
+            if not active:  # x(lam) is nonzero below max |M^T y|: only rounding gets here
+                flags.append("stalled")
+                break
         else:
             joined, left = j, None
             active.append(j)
             signs.append(1.0 if up[j] <= down[j] else -1.0)
     else:
         flags.append("stalled")
+    return x, resid, lam_x, steps, flags, False
+
+
+def lasso(matrix, y, lam):
+    """Minimize 0.5 ||y - M x||^2 + lam ||x||_1 exactly, on bpdn's lasso path.
+
+    lam >= max |M^T y| returns the zero vector.  Flags are as in bpdn;
+    info['lam'] is lam and iterations counts breakpoints.
+    """
+    data, y = _operands(matrix, y)
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lam must be finite and >= 0, got {lam}")
+    x, resid, _, steps, flags, _ = _path(data, y, 0.0, lam)
+    return SolveResult(estimate=x, iterations=steps,
+                       residual_norm=float(np.linalg.norm(resid)),
+                       converged=not flags, flags=tuple(flags), info={"lam": lam})
+
+
+def bpdn(matrix, y, epsilon):
+    """Basis pursuit denoising: min ||x||_1 s.t. ||y - M x|| <= epsilon.
+
+    Solved exactly on the lasso path, from lam = max |M^T y| to where the
+    residual reaches epsilon, or to the basis pursuit endpoint lam = 0.
+
+    epsilon >= ||y|| returns the zero vector, which is feasible and
+    l1-minimal.  A path that ends above epsilon is flagged
+    'infeasible-epsilon'; one stopped early is flagged 'singular-gram' or
+    'stalled' and returns its last breakpoint.  info['lam'] is the
+    returned point's lambda; iterations counts breakpoints.
+    """
+    data, y = _operands(matrix, y)
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    ynorm = float(np.linalg.norm(y))
+    if ynorm == 0.0 or epsilon >= ynorm:
+        return SolveResult(estimate=np.zeros(data.shape[1]), iterations=0,
+                           residual_norm=ynorm, converged=True,
+                           flags=("zero-solution",) if epsilon >= ynorm and ynorm > 0 else (),
+                           info={"lam": 0.0})
+    x, resid, lam, steps, flags, reached = _path(data, y, epsilon, 0.0)
     rnorm = float(np.linalg.norm(resid))
-    reached = reached or rnorm <= max(epsilon, 1e-9 * ynorm)
+    # no breakpoint: y is orthogonal to every column (or not finite)
+    reached = reached or steps > 0 and rnorm <= max(epsilon, 1e-9 * ynorm)
     if not reached and not flags:
         flags.append("infeasible-epsilon")
     return SolveResult(estimate=x, iterations=steps, residual_norm=rnorm,
-                       converged=reached, flags=tuple(flags), info={"lam": lam_x})
+                       converged=reached, flags=tuple(flags), info={"lam": float(lam)})
 
 
 def _plant(rng, cols, k):
@@ -645,8 +595,9 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
     source is a MeasurementMatrix (fixed-matrix mode) or an EnsembleSpec;
     fresh_matrix=True redraws the matrix per trial and needs a spec.
     Every k is checked against the solver before the first trial.  With a
-    fixed matrix the trials of one k are solved together, on one cached
-    Gram matrix.  Per-trial seeds are keyed substreams of (seed, k, trial)
+    fixed matrix the trials of one k are solved together as the columns of
+    one block (bpdn's one column at a time), and the IHT step is computed
+    once per curve.  Per-trial seeds are keyed substreams of (seed, k, trial)
     and threads share out whole k, so the curve is reproducible at any
     thread count.
     """
@@ -659,12 +610,10 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
         raise DomainError(f"trials must be >= 1, got {trials}")
     if fresh_matrix and not isinstance(source, EnsembleSpec):
         raise ValueError("fresh_matrix mode needs an EnsembleSpec source")
-    fixed = source if isinstance(source, MeasurementMatrix) else None
     for k in k_list:
         _check_k(k, solver, source.rows, source.cols)
-    if fixed is None and not fresh_matrix:
-        fixed = generate(source)
-    op = _Operand(fixed) if fixed is not None else None
+    op = None if fresh_matrix else \
+        _Operand(source if isinstance(source, MeasurementMatrix) else generate(source))
 
     def point(k):
         seeds = [substream_seed(seed, "trial", k, trial) for trial in range(trials)]

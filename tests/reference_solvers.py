@@ -1,4 +1,4 @@
-"""Per-trial reference solvers: the oracle for the batched solver kernels.
+"""Reference solvers: independent oracles for the library's solvers.
 
 These are the straightforward one-signal forms of omp, iht and cosamp:
 least squares by `np.linalg.lstsq` with a ridge fallback on rank
@@ -6,15 +6,24 @@ deficiency, a `lexsort` hard threshold, and ||M||_2 recomputed for every
 IHT solve.  `recovery_trial` plants, observes and scores a trial exactly
 as the library does, then solves it with these.  Tests compare the
 library's batched phase path against them trial by trial.
+
+`lasso` is an iterative l1 solver (monotone FISTA, Beck & Teboulle 2009)
+that tests hold the exact lasso path of `lasso` and `bpdn` against.
 """
 
 import math
 
 import numpy as np
 
-from cohaudit.solvers import NOISELESS_SUCCESS_TOL, SolveResult, _observe, _plant, _score
+from cohaudit.errors import DomainError
+from cohaudit.solvers import NOISELESS_SUCCESS_TOL, SolveResult, _observe, _operands, \
+    _plant, _score
 from cohaudit._streams import stream
 from cohaudit.linalg import operator_norm
+
+# lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
+_GAP_RTOL = 1e-6
+_GAP_CHECK = 10
 
 
 def lstsq(sub, y, flags):
@@ -126,6 +135,85 @@ def cosamp(data, y, k, max_iter=100):
         prev_rnorm = rnorm
     return SolveResult(estimate=best_x, iterations=it, residual_norm=best_rnorm,
                        converged=converged, flags=tuple(flags))
+
+
+def soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
+    """Minimize 0.5 ||y - M x||^2 + lam ||x||_1 by monotone FISTA from x = 0.
+
+    The iterative reference for the exact lasso path.  The accepted objective
+    never increases (a worse accelerated step falls back to the previous
+    iterate).  The objective trace is kept in info['objective_trace'].
+
+    Two stopping criteria: iterate movement below tol (catches exact
+    fixed points immediately), and a duality-gap certificate checked
+    every _GAP_CHECK iterations.  The gap uses the scaled residual as the
+    dual point; rel gap <= _GAP_RTOL bounds the objective suboptimality
+    directly, which the movement heuristic cannot.
+    """
+    data, y = _operands(matrix, y)
+    cols = data.shape[1]
+    if lam < 0:
+        raise DomainError(f"lam must be >= 0, got {lam}")
+    nrm = operator_norm(data)
+    lipschitz = max(nrm * nrm, np.finfo(float).tiny)
+    x = np.zeros(cols)
+
+    def objective(v, resid):
+        return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(v)))
+
+    def rel_gap(v, fv):
+        r = y - data @ v
+        corr = float(np.max(np.abs(data.T @ r))) if cols else 0.0
+        scale = 1.0 if corr <= lam else lam / corr
+        nu = scale * r
+        dual = float(nu @ y) - 0.5 * float(nu @ nu)
+        return (fv - dual) / max(fv, np.finfo(float).tiny)
+
+    z = x.copy()
+    t_acc = 1.0
+    fx = objective(x, y)
+    trace = [fx]
+    converged = False
+    gap = None
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = data.T @ (data @ z - y)
+        u = soft_threshold(z - grad / lipschitz, lam / lipschitz)
+        resid_u = y - data @ u
+        fu = objective(u, resid_u)
+        if fu <= fx:
+            x_new, f_new = u, fu
+        else:
+            x_new, f_new = x, fx
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        # momentum difference is against the previous accepted iterate,
+        # which is still held in x at this point
+        z = x_new + (t_acc / t_next) * (u - x_new) \
+            + ((t_acc - 1.0) / t_next) * (x_new - x)
+        moved = max(float(np.linalg.norm(x_new - x)),
+                    float(np.linalg.norm(u - x_new)))
+        x = x_new
+        fx = f_new
+        t_acc = t_next
+        trace.append(fx)
+        if moved <= tol * max(1.0, float(np.linalg.norm(x))):
+            converged = True
+            break
+        if it % _GAP_CHECK == 0:
+            gap = rel_gap(x, fx)
+            if gap <= _GAP_RTOL:
+                converged = True
+                break
+    resid = y - data @ x
+    return SolveResult(estimate=x, iterations=it,
+                       residual_norm=float(np.linalg.norm(resid)),
+                       converged=converged,
+                       info={"lam": lam, "objective": fx, "rel_gap": gap,
+                             "objective_trace": trace})
 
 
 SOLVE = {"omp": omp, "iht": iht, "cosamp": cosamp}

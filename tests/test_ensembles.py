@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cohaudit import (
     real_fourier_frame,
     save_matrix,
 )
+from cohaudit._streams import k_subset, stream
 
 
 def test_gaussian_dims_and_unit_norms():
@@ -70,6 +73,43 @@ def test_partial_fourier_rows_come_from_frame():
     frame = real_fourier_frame(16)
     for row in raw:
         assert any(np.array_equal(row, frow) for frow in frame)
+
+
+def loop_fourier_frame(n):
+    """The real harmonic frame built one row at a time: the reference."""
+    t = np.arange(n)
+    rows = [np.full(n, 1.0 / np.sqrt(n))]
+    for f in range(1, (n - 1) // 2 + 1):
+        w = 2.0 * np.pi * f * t / n
+        rows.append(np.sqrt(2.0 / n) * np.cos(w))
+        rows.append(np.sqrt(2.0 / n) * np.sin(w))
+    if n % 2 == 0 and n > 1:
+        rows.append(np.where(t % 2 == 0, 1.0, -1.0) / np.sqrt(n))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 65, 128, 501])
+def test_fourier_frame_matches_row_by_row_build(n):
+    assert real_fourier_frame(n).tobytes() == loop_fourier_frame(n).tobytes()
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(1, 1, 0), (8, 16, 9), (9, 17, 4),
+                                              (40, 121, 5), (64, 64, 2)])
+def test_partial_fourier_is_frame_rows_bitwise(rows, cols, seed):
+    picked = k_subset(stream(seed, "partial_fourier", rows, cols), cols, rows)
+    raw = generate_raw(EnsembleSpec("partial_fourier", rows, cols, seed)).data
+    assert raw.tobytes() == loop_fourier_frame(cols)[picked].tobytes()
+
+
+def test_partial_fourier_builds_only_its_rows():
+    # the whole cols x cols frame would be 40x the matrix here
+    tracemalloc.start()
+    try:
+        m = generate(EnsembleSpec("partial_fourier", 100, 4000, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * m.data.nbytes
 
 
 def test_partial_fourier_unit_columns():

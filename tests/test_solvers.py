@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_solvers as ref
+from reference_solvers import lasso as fista_lasso
 from cohaudit import (
     DimensionError,
     DomainError,
@@ -19,7 +22,6 @@ from cohaudit import (
     omp,
     phase_curve,
     recovery_trial,
-    soft_threshold,
     wilson_interval,
 )
 from cohaudit import solvers
@@ -81,7 +83,7 @@ def test_top_k_per_column_matches_lexsort(columns, k):
 
 def test_soft_threshold_values():
     v = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    assert np.array_equal(soft_threshold(v, 1.0), [-1.0, 0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(ref.soft_threshold(v, 1.0), [-1.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_omp_single_atom(gauss_100x500):
@@ -222,8 +224,8 @@ def test_solver_scaling_by_two_is_exact(gauss_100x500, solver_fn, kwargs):
 def test_lasso_orthonormal_closed_form(ortho_30):
     rng = np.random.default_rng(12)
     y = rng.standard_normal(30)
-    res = lasso(ortho_30, y, 0.3, max_iter=5000, tol=1e-12)
-    oracle = soft_threshold(ortho_30.T @ y, 0.3)
+    res = lasso(ortho_30, y, 0.3)
+    oracle = ref.soft_threshold(ortho_30.T @ y, 0.3)
     assert np.max(np.abs(res.estimate - oracle)) <= 1e-8
     assert res.converged
 
@@ -231,7 +233,7 @@ def test_lasso_orthonormal_closed_form(ortho_30):
 def test_lasso_objective_never_increases(gauss_200x400):
     rng = np.random.default_rng(13)
     y = rng.standard_normal(200)
-    res = lasso(gauss_200x400, y, 0.05, max_iter=300)
+    res = fista_lasso(gauss_200x400, y, 0.05, max_iter=300)
     trace = res.info["objective_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -239,7 +241,7 @@ def test_lasso_objective_never_increases(gauss_200x400):
 def test_lasso_zero_lam_is_least_squares_fit(ortho_30):
     rng = np.random.default_rng(14)
     y = rng.standard_normal(30)
-    res = lasso(ortho_30, y, 0.0, max_iter=2000, tol=1e-14)
+    res = lasso(ortho_30, y, 0.0)
     assert res.residual_norm <= 1e-8
 
 
@@ -293,16 +295,20 @@ def lasso_objective(data, y, x, lam):
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
+def small_problem(seed, rows, extra):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((rows, rows + extra))
+    data /= np.linalg.norm(data, axis=0)
+    return data, rng.standard_normal(rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), extra=st.integers(0, 6),
        frac=st.floats(0.01, 0.99))
 def test_bpdn_exact_against_kkt_and_fista(seed, rows, extra, frac):
     # rows <= cols: a gaussian dictionary then spans R^rows, so every
     # epsilon in (0, ||y||) is reachable
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((rows, rows + extra))
-    data /= np.linalg.norm(data, axis=0)
-    y = rng.standard_normal(rows)
+    data, y = small_problem(seed, rows, extra)
     eps = frac * float(np.linalg.norm(y))
     res = bpdn(data, y, eps)
     assert res.converged and not res.flags
@@ -321,11 +327,49 @@ def test_bpdn_exact_against_kkt_and_fista(seed, rows, extra, frac):
     assert objective - (float(r @ y) - 0.5 * float(r @ r)) <= 1e-9 * objective
     # the FISTA reference never does better; its own dual point bounds
     # the optimum from below
-    ref = lasso(data, y, lam, max_iter=20000, tol=1e-14)
+    ref = fista_lasso(data, y, lam, max_iter=20000, tol=1e-14)
     assert objective <= ref.info["objective"] * (1.0 + 1e-9)
     r_ref = y - data @ ref.estimate
     nu = r_ref * min(1.0, lam / float(np.max(np.abs(data.T @ r_ref))))
     assert float(nu @ y) - 0.5 * float(nu @ nu) <= objective * (1.0 + 1e-9)
+    # lasso at bpdn's lam is the same point of the path
+    assert np.linalg.norm(lasso(data, y, lam).estimate - x) <= 1e-9 * np.linalg.norm(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), extra=st.integers(0, 6),
+       frac=st.floats(0.01, 0.99))
+def test_lasso_exact_against_kkt_and_fista(seed, rows, extra, frac):
+    data, y = small_problem(seed, rows, extra)
+    lam = frac * float(np.max(np.abs(data.T @ y)))
+    res = lasso(data, y, lam)
+    assert res.converged and not res.flags
+    assert res.info == {"lam": lam}
+    x = res.estimate
+    corr = data.T @ (y - data @ x)
+    assert np.max(np.abs(corr)) <= lam * (1.0 + 1e-9)
+    sup = np.flatnonzero(x)
+    assert np.all(np.abs(corr[sup] - lam * np.sign(x[sup])) <= 1e-9 * lam)
+    fista = fista_lasso(data, y, lam, max_iter=20000, tol=1e-14)
+    assert lasso_objective(data, y, x, lam) <= fista.info["objective"] * (1.0 + 1e-9)
+
+
+def test_lasso_at_or_above_max_correlation_is_zero(gauss_100x500):
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal(100)
+    top = float(np.max(np.abs(gauss_100x500.data.T @ y)))
+    for lam in (top, 2.0 * top):
+        res = lasso(gauss_100x500, y, lam)
+        assert np.array_equal(res.estimate, np.zeros(500))
+        assert res.converged and res.iterations == 0 and not res.flags
+        assert res.residual_norm == float(np.linalg.norm(y))
+
+
+def test_lasso_rejects_bad_lam(gauss_100x500):
+    y = np.ones(100)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            lasso(gauss_100x500, y, lam)
 
 
 def test_bpdn_duplicated_and_negated_columns():
@@ -345,6 +389,37 @@ def test_bpdn_duplicated_and_negated_columns():
     merged[5:10] -= est[45:50]
     assert np.max(np.abs(merged - x)) <= 1e-10
     assert np.sum(np.abs(est)) <= np.sum(np.abs(x)) * (1.0 + 1e-12)
+
+
+def basis_pursuit_optimum(data, y):
+    """min ||x||_1 s.t. data x = y, over the vertices: supports of independent columns."""
+    best = np.inf
+    for size in range(1, data.shape[0] + 1):
+        for sup in itertools.combinations(range(data.shape[1]), size):
+            sub = data[:, sup]
+            if np.linalg.matrix_rank(sub) == size:
+                coef = np.linalg.lstsq(sub, y, rcond=None)[0]
+                if np.linalg.norm(sub @ coef - y) <= 1e-12 * np.linalg.norm(y):
+                    best = min(best, float(np.sum(np.abs(coef))))
+    return best
+
+
+def test_lasso_and_bpdn_with_tied_correlations():
+    # on unit-norm columns y = d0 - d1 has |d0^T y| = |d1^T y| = max |D^T y|,
+    # so both atoms must enter the path at its start
+    for seed in range(60):
+        data = generate(EnsembleSpec("gaussian", 4, 5, seed)).data
+        y = data[:, 0] - data[:, 1]
+        lam = 0.5 * float(np.max(np.abs(data.T @ y)))
+        res = lasso(data, y, lam)
+        assert res.converged and not res.flags
+        corr = data.T @ (y - data @ res.estimate)
+        assert np.max(np.abs(corr)) <= lam * (1.0 + 1e-9)
+        sup = np.flatnonzero(res.estimate)
+        assert np.all(np.abs(corr[sup] - lam * np.sign(res.estimate[sup])) <= 1e-9 * lam)
+        res = bpdn(data, y, 0.0)
+        assert res.converged and not res.flags
+        assert np.sum(np.abs(res.estimate)) <= basis_pursuit_optimum(data, y) * (1.0 + 1e-9)
 
 
 def test_bpdn_rejects_bad_epsilon(gauss_100x500):
