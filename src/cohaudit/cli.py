@@ -77,7 +77,7 @@ def _resolve_matrix(args, parser):
 
 
 def _thresholds(prof):
-    """Sparsity thresholds at the profile's (mu, sigma); None if either is 0."""
+    """Thresholds at (mutual_coherence, std) of a profile or moment pass; None if either is 0."""
     mu = min(prof.mutual_coherence, 1.0)
     if mu > 0.0 and prof.std > 0.0:
         return asdict(sparsity_bounds(mu, prof.std))
@@ -131,7 +131,7 @@ def run_verify(args, parser):
     multipliers = _parse_grid(args.t_grid, parser)
     matrix, source = _resolve_matrix(args, parser)
     k = args.k
-    sigma = profile(coherence_sample(matrix)).std
+    sigma = coherence_sample(matrix)._two_pass().std  # no histogram
     ratios = sample_ratios(matrix, k, args.trials, args.seed,
                            coeff_model=args.coeff_model, threads=args.threads)
     g_energy = rip_width(k, sigma, "energy").g
@@ -189,7 +189,7 @@ def run_phase(args, parser):
     _check_noise(args.noise)
     matrix, source = _resolve_matrix(args, parser)
     # a matrix without a coherence profile fails here, before any trial
-    thresholds = _thresholds(profile(coherence_sample(matrix)))
+    thresholds = _thresholds(coherence_sample(matrix)._two_pass())  # no histogram
     curve_source = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed) \
         if args.fresh_matrix else matrix
     points = phase_curve(curve_source, k_list, args.solver, args.trials,

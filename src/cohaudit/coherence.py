@@ -24,7 +24,10 @@ HIST_BIN_CAP = 512
 # Minimum pair count before moment-based normality diagnostics mean much.
 _NORMALITY_MIN = 100
 
-_Stats = namedtuple("_Stats", "lo hi mean m2 m4 counts")  # counts None without bins
+
+class _Stats(namedtuple("_Stats", "lo hi mean m2 m4 counts")):  # counts None without bins
+    mutual_coherence = property(lambda self: max(abs(self.lo), abs(self.hi)))
+    std = property(lambda self: math.sqrt(self.m2))
 
 
 def _strip_stats(strips, count, bins=None):
@@ -43,9 +46,9 @@ def _strip_stats(strips, count, bins=None):
     for v in strips():
         if counts is not None and hi > lo:
             counts += np.histogram(v, bins=bins, range=(lo, hi))[0]
-        v = v - mean
-        s2 += float(np.sum(v ** 2))
-        s4 += float(np.sum(v ** 4))
+        v = (v - mean) ** 2  # squared again below: v ** 4 would call libm pow per element
+        s2 += float(np.sum(v))
+        s4 += float(np.sum(v * v))
         del v
     return _Stats(lo, hi, mean, s2 / count, s4 / count, counts)
 
@@ -76,6 +79,8 @@ class CoherenceSample:
     def _two_pass(self, bins=None):
         """_strip_stats of the pairs, kept.  bins=None takes the kept result
         whatever its bins, so profile then normality_check read the strips twice."""
+        if self._count == 0:
+            raise InsufficientDataError("need at least two columns for a coherence profile")
         if self._kept is None or bins not in (None, self._kept[0]):
             self._kept = (bins, _strip_stats(self._strips, self._count, bins))
         return self._kept[1]
@@ -113,7 +118,8 @@ class FitReport:
 
 def require_normalized(matrix, name="matrix"):
     """Raise UnnormalizedMatrixError unless every column norm is within 1e-9 of 1."""
-    worst = float(np.max(np.abs(matrix.column_norms() - 1.0), initial=0.0))
+    sq = np.einsum("ij,ij->j", matrix.data, matrix.data)  # no rows x cols temporary
+    worst = float(np.max(np.abs(np.sqrt(sq) - 1.0), initial=0.0))
     if worst > 1e-9:
         raise UnnormalizedMatrixError(
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
@@ -146,18 +152,15 @@ def profile(sample, bins=None):
     default bin count is ceil(sqrt(count)) capped at 512.
     """
     count = sample.count
-    if count == 0:
-        raise InsufficientDataError("need at least two columns for a coherence profile")
     if bins is None:
         bins = min(math.ceil(math.sqrt(count)), HIST_BIN_CAP)
-    if bins < 1:
+    elif bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     st = sample._two_pass(bins)
     edges = np.linspace(st.lo, st.hi, bins + 1)
-    hist = tuple((float(edges[i]), float(edges[i + 1]), int(st.counts[i]))
-                 for i in range(bins))
-    return CoherenceProfile(mutual_coherence=max(abs(st.lo), abs(st.hi)), mean=st.mean,
-                            std=math.sqrt(st.m2), histogram=hist, sample_count=count)
+    hist = tuple(zip(map(float, edges[:-1]), map(float, edges[1:]), map(int, st.counts)))
+    return CoherenceProfile(mutual_coherence=st.mutual_coherence, mean=st.mean, std=st.std,
+                            histogram=hist, sample_count=count)
 
 
 def normality_check(sample):
@@ -202,5 +205,5 @@ def cross_coherence(left, right, block_cols=None):
     w = block_cols or max(1, _STRIP_BUDGET // right.cols)
     st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data).ravel()
                                for a in range(0, left.cols, w)), total)
-    return CrossCoherenceProfile(max_cross=max(abs(st.lo), abs(st.hi)),
-                                 std=math.sqrt(st.m2), mean=st.mean, sample_count=total)
+    return CrossCoherenceProfile(max_cross=st.mutual_coherence, std=st.std, mean=st.mean,
+                                 sample_count=total)

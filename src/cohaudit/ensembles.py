@@ -53,15 +53,7 @@ class MeasurementMatrix:
     ensemble_tag: str = "custom"
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionError("matrix needs at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        _adopt(self, np.array(self.data, dtype=np.float64, order="C", copy=True), self.ensemble_tag)
 
     @property
     def rows(self):
@@ -73,6 +65,22 @@ class MeasurementMatrix:
 
     def column_norms(self):
         return np.linalg.norm(self.data, axis=0)
+
+
+def _adopt(matrix, arr, ensemble_tag):
+    """Check arr and freeze it as matrix.data, uncopied: arr is new and held nowhere else."""
+    arr = np.asarray(arr, dtype=np.float64, order="C")  # a no-op on the arrays made here
+    if arr.ndim != 2:
+        raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise DimensionError("matrix needs at least one row")
+    # min and max carry any NaN or inf, with no rows x cols array of flags
+    if not (np.isfinite(np.min(arr, initial=0.0)) and np.isfinite(np.max(arr, initial=0.0))):
+        raise ValueError("matrix entries must be finite")
+    arr.flags.writeable = False
+    object.__setattr__(matrix, "data", arr)
+    object.__setattr__(matrix, "ensemble_tag", ensemble_tag)
+    return matrix
 
 
 def real_fourier_frame(n):
@@ -116,7 +124,7 @@ def generate_raw(spec):
         raw = (2.0 * rng.integers(0, 2, size=(spec.rows, spec.cols)) - 1.0) / np.sqrt(spec.rows)
     else:
         raw = _fourier_rows(spec.cols, k_subset(rng, spec.cols, spec.rows))
-    return MeasurementMatrix(raw, ensemble_tag=spec.ensemble)
+    return _adopt(object.__new__(MeasurementMatrix), raw, spec.ensemble)
 
 
 def generate(spec):
@@ -130,8 +138,6 @@ def normalize_columns(matrix):
     Columns already within a few ulps of unit norm are left bit-exact, so
     applying this twice returns the first result unchanged.
     """
-    if matrix.cols == 0:
-        return matrix
     norms = matrix.column_norms()
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -140,7 +146,7 @@ def normalize_columns(matrix):
     factors[np.abs(norms - 1.0) <= _NORM_SKIP] = 1.0
     if np.all(factors == 1.0):
         return matrix
-    return MeasurementMatrix(matrix.data * factors, ensemble_tag=matrix.ensemble_tag)
+    return _adopt(object.__new__(MeasurementMatrix), matrix.data * factors, matrix.ensemble_tag)
 
 
 def save_matrix(matrix, path, file_format="binary"):

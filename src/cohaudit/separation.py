@@ -13,7 +13,7 @@ import numpy as np
 
 from ._streams import stream
 from .bounds import separation_condition
-from .coherence import coherence_sample, cross_coherence, profile
+from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
@@ -87,8 +87,8 @@ def measured_spreads(left, right):
 
     A dictionary with fewer than two columns contributes zero spread.
     """
-    sigma_left = profile(coherence_sample(left)).std if left.cols >= 2 else 0.0
-    sigma_right = profile(coherence_sample(right)).std if right.cols >= 2 else 0.0
+    sigma_left = coherence_sample(left)._two_pass().std if left.cols >= 2 else 0.0
+    sigma_right = coherence_sample(right)._two_pass().std if right.cols >= 2 else 0.0
     return sigma_left, sigma_right, cross_coherence(left, right).std
 
 

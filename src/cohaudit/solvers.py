@@ -426,7 +426,8 @@ def _path(data, y, epsilon, lam_stop):
             # smaller root of ||r - g v||^2 = epsilon^2, in cancellation-free form
             excess = float(resid @ resid) - epsilon * epsilon
             rv, vv = float(resid @ v), float(v @ v)
-            root = excess / (rv + math.sqrt(max(rv * rv - vv * excess, 0.0)))
+            w = resid - (rv / vv) * v  # discriminant vv (eps^2 - |w|^2), accurate for eps << |r|
+            root = excess / (rv + math.sqrt(max(vv * (epsilon * epsilon - w @ w), 0.0)))
             x[active] = coef + root * direction
             return x, y - sub @ x[active], lam - root, steps, flags, True
         lam = lam_stop if end else lam - gamma

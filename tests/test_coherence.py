@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,37 @@ def test_streamed_statistics_match_materialised(ensemble, rows, cols, seed, data
     if not fb.degenerate:
         assert (fa.z_mean, fa.excess_kurtosis) == pytest.approx(
             (fb.z_mean, fb.excess_kurtosis), **close)
+
+
+def _nearly_parallel(rows, cols):
+    rng = np.random.default_rng(0)
+    return normalize_columns(MeasurementMatrix(1.0 + 1e-5 * rng.standard_normal((rows, cols))))
+
+
+@pytest.mark.parametrize("matrix", [generate(EnsembleSpec("gaussian", 30, 70, 5)),
+                                    generate(EnsembleSpec("bernoulli", 16, 50, 6)),
+                                    _nearly_parallel(50, 40)],
+                         ids=["gaussian", "bernoulli", "nearly-parallel"])
+@pytest.mark.parametrize("block", [1, 3, 11, None])
+def test_moments_match_fsum_oracle(matrix, block):
+    s = coherence_sample(matrix, block_cols=block)
+    v = [float(x) for x in s.values]
+    mean = math.fsum(v) / len(v)
+    m2 = math.fsum((x - mean) ** 2 for x in v) / len(v)
+    m4 = math.fsum((x - mean) ** 4 for x in v) / len(v)
+    prof, fit = profile(s), normality_check(s)
+    assert prof.std ** 2 == pytest.approx(m2, rel=1e-12)
+    assert fit.var_ratio / matrix.rows == pytest.approx(m2, rel=1e-12)
+    assert (fit.excess_kurtosis + 3.0) * m2 ** 2 == pytest.approx(m4, rel=1e-12)
+
+
+@pytest.mark.parametrize("matrix", [generate(EnsembleSpec("gaussian", 30, 70, 5)),
+                                    _nearly_parallel(50, 40)])
+def test_one_strip_is_bitwise_the_materialised_sample(matrix):
+    streamed = coherence_sample(matrix, block_cols=matrix.cols)
+    whole = CoherenceSample(values=streamed.values, source_dims=matrix.data.shape)
+    assert profile(streamed) == profile(whole)
+    assert normality_check(streamed) == normality_check(whole)
 
 
 def test_profile_and_normality_share_two_gram_passes():

@@ -177,6 +177,35 @@ def test_matrix_data_is_readonly():
         m.data[0, 0] = 2.0
 
 
+def test_matrix_copies_the_callers_array():
+    arr = np.eye(3)
+    m = MeasurementMatrix(arr)
+    arr[0, 0] = 5.0
+    assert m.data[0, 0] == 1.0 and arr.flags.writeable
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial_fourier"])
+def test_generate_output_is_readonly_c_order(ensemble):
+    for m in (generate_raw(EnsembleSpec(ensemble, 6, 9, 2)),
+              generate(EnsembleSpec(ensemble, 6, 9, 2))):
+        assert m.data.dtype == np.float64 and m.data.flags.c_contiguous
+        assert not m.data.flags.writeable
+        assert m.ensemble_tag == ensemble
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 2.0
+
+
+def test_generate_holds_at_most_two_matrices():
+    # the raw draw and its normalized product; no frozen copy of either
+    tracemalloc.start()
+    try:
+        m = generate(EnsembleSpec("gaussian", 200, 5000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * m.data.nbytes
+
+
 def test_binary_roundtrip_bitwise(tmp_path):
     m = generate(EnsembleSpec("gaussian", 17, 23, 5))
     path = tmp_path / "m.bin"

@@ -271,6 +271,18 @@ def test_bpdn_residual_matches_epsilon(gauss_200x400):
     assert res.converged
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_bpdn_tiny_epsilon_root_meets_epsilon(seed):
+    # one path segment from ||y|| down to 1e-9 ||y||: the root's discriminant
+    # must not cancel to rounding level
+    m = generate(EnsembleSpec("gaussian", 5, 8, seed))
+    y = 1.5 * m.data[:, 2]
+    eps = 1e-9 * np.linalg.norm(y)
+    res = bpdn(m, y, eps)
+    assert res.converged
+    assert np.linalg.norm(y - m.data @ res.estimate) <= eps * (1 + 1e-6)
+
+
 def test_bpdn_noiseless_recovery_small():
     m = generate(EnsembleSpec("gaussian", 40, 80, 21))
     hits = 0
