@@ -184,24 +184,18 @@ def run_phase(args, parser):
         parser.error(f"bad --k-list {args.k_list!r}, expected comma-separated ints")
     if not k_list or any(b <= a for a, b in zip(k_list, k_list[1:])):
         parser.error("--k-list must be nonempty and strictly ascending")
-    if args.fresh_matrix and not args.ensemble:
-        parser.error("--fresh-matrix needs an --ensemble source")
     _check_noise(args.noise)
     matrix, source = _resolve_matrix(args, parser)
     # a matrix without a coherence profile fails here, before any trial
     thresholds = _thresholds(coherence_sample(matrix)._two_pass())  # no histogram
-    curve_source = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed) \
-        if args.fresh_matrix else matrix
-    points = phase_curve(curve_source, k_list, args.solver, args.trials,
-                         args.noise, args.seed, fresh_matrix=args.fresh_matrix,
-                         threads=args.threads)
+    points = phase_curve(matrix, k_list, args.solver, args.trials, args.noise,
+                         args.seed, threads=args.threads)
     report = {
         "command": "phase",
         "source": source,
         "solver": args.solver,
         "noise_sigma": args.noise,
         "trials": args.trials,
-        "fresh_matrix": args.fresh_matrix,
         "points": [asdict(p) for p in points],
         "thresholds": thresholds,
     }
@@ -316,8 +310,6 @@ def build_parser():
                          help="trials per sparsity (default 200)")
     p_phase.add_argument("--noise", type=float, default=0.0,
                          help="measurement noise sigma (default 0)")
-    p_phase.add_argument("--fresh-matrix", action="store_true",
-                         help="redraw the matrix each trial (needs --ensemble)")
     p_phase.add_argument("--csv", help="also write the curve as CSV")
     p_phase.set_defaults(func=run_phase)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, UnnormalizedMatrixError
-from .util import frozen_copy
 
 # Gram entries held per strip (16 MB of float64).  Strips are
 # max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^21 is one strip.
@@ -56,14 +55,13 @@ def _strip_stats(strips, count, bins=None):
 class CoherenceSample:
     """All pairwise inner products <d_i, d_j>, i < j, lexicographic order.
 
-    A sample of a matrix keeps the matrix, not the N(N-1)/2 pairs, and
-    reads them one strip of Gram rows at a time; `values` materialises
-    them.  A sample built from explicit values is a single strip.
+    A sample keeps the matrix, not the N(N-1)/2 pairs: strips() yields
+    them one strip of Gram rows at a time, count is their number, and
+    `values` materialises them.
     """
 
-    def __init__(self, values, source_dims):
-        values = frozen_copy(values)
-        self._strips, self._count = (lambda: iter((values,))), values.size
+    def __init__(self, strips, count, source_dims):
+        self._strips, self._count = strips, count
         self.source_dims = tuple(source_dims)
         self._kept = None
 
@@ -135,13 +133,10 @@ def coherence_sample(matrix, block_cols=None):
     require_normalized(matrix)
     data, N = matrix.data, matrix.cols
     w = block_cols or max(1, _STRIP_BUDGET // max(N, 1))
-    sample = CoherenceSample((), data.shape)
     # Gram rows a..a+w-1 from column a on, keeping column > row (row N-1 has none)
-    sample._strips = lambda: (
+    return CoherenceSample(lambda: (
         (data[:, a:a + w].T @ data[:, a:])[np.arange(N - a) > np.arange(min(w, N - a))[:, None]]
-        for a in range(0, N - 1, w))
-    sample._count = N * (N - 1) // 2
-    return sample
+        for a in range(0, N - 1, w)), N * (N - 1) // 2, data.shape)
 
 
 def profile(sample, bins=None):

@@ -49,8 +49,6 @@ class SeparationProblem:
 class SeparationResult:
     x_hat: SparseSignal
     e_hat: SparseSignal
-    feature_left: np.ndarray
-    feature_right: np.ndarray
     solver: object
 
 
@@ -108,14 +106,9 @@ def separate(problem):
     joint = joint_dictionary(problem.left, problem.right)
     res = bpdn(joint, problem.y, problem.epsilon)
     split = problem.left.cols
-    x_dense = res.estimate[:split]
-    e_dense = res.estimate[split:]
     return SeparationResult(
-        x_hat=SparseSignal.from_dense(x_dense),
-        e_hat=SparseSignal.from_dense(e_dense),
-        feature_left=problem.left.data @ x_dense,
-        feature_right=(problem.right.data @ e_dense if problem.right.cols
-                       else np.zeros(problem.left.rows)),
+        x_hat=SparseSignal.from_dense(res.estimate[:split]),
+        e_hat=SparseSignal.from_dense(res.estimate[split:]),
         solver=res,
     )
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from ._streams import k_subset, stream, substream_seed
-from .ensembles import EnsembleSpec, MeasurementMatrix, generate
+from .ensembles import MeasurementMatrix
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
 from .ripcheck import _chunks
@@ -589,18 +589,15 @@ def wilson_interval(successes, trials):
     return lo, hi
 
 
-def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
-                fresh_matrix=False, threads=1):
+def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
     """Empirical success rate vs sparsity with Wilson 95% intervals.
 
-    source is a MeasurementMatrix (fixed-matrix mode) or an EnsembleSpec;
-    fresh_matrix=True redraws the matrix per trial and needs a spec.
-    Every k is checked against the solver before the first trial.  With a
-    fixed matrix the trials of one k are solved together as the columns of
-    one block (bpdn's one column at a time), and the IHT step is computed
-    once per curve.  Per-trial seeds are keyed substreams of (seed, k, trial)
-    and threads share out whole k, so the curve is reproducible at any
-    thread count.
+    Every trial runs on the one given matrix, and every k is checked
+    against the solver before the first trial.  The trials of one k are
+    solved together as the columns of one block (bpdn's one column at a
+    time), and the IHT step is computed once per curve.  Per-trial seeds
+    are keyed substreams of (seed, k, trial) and threads share out whole
+    k, so the curve is reproducible at any thread count.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -609,24 +606,13 @@ def phase_curve(source, k_list, solver, trials, noise_sigma, seed,
         raise ValueError("k_list must be strictly ascending")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if fresh_matrix and not isinstance(source, EnsembleSpec):
-        raise ValueError("fresh_matrix mode needs an EnsembleSpec source")
+    op = _Operand(matrix)
     for k in k_list:
-        _check_k(k, solver, source.rows, source.cols)
-    op = None if fresh_matrix else \
-        _Operand(source if isinstance(source, MeasurementMatrix) else generate(source))
+        _check_k(k, solver, *op.data.shape)
 
     def point(k):
         seeds = [substream_seed(seed, "trial", k, trial) for trial in range(trials)]
-        if op is not None:
-            results = _trials(op, k, solver, noise_sigma, seeds)
-        else:
-            results = [recovery_trial(
-                generate(EnsembleSpec(source.ensemble, source.rows, source.cols,
-                                      substream_seed(seed, "matrix", k, trial))),
-                k, solver, noise_sigma, trial_seed)
-                for trial, trial_seed in enumerate(seeds)]
-        wins = sum(1 for r in results if r.success)
+        wins = sum(1 for r in _trials(op, k, solver, noise_sigma, seeds) if r.success)
         lo, hi = wilson_interval(wins, trials)
         return PhasePoint(k=k, trials=trials, successes=wins,
                           rate=wins / trials, ci_low=lo, ci_high=hi)

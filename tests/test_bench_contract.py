@@ -40,7 +40,14 @@ def test_every_traced_function_exists():
 
 def test_traced_parameters_and_result_fields():
     assert "threads" in inspect.signature(sample_ratios).parameters
-    assert "threads" in inspect.signature(phase_curve).parameters
+    # the bpdn_phase probe calls phase_curve(m, ks, solver, trials, noise, seed, threads=t)
+    params = inspect.signature(phase_curve).parameters
+    head = list(params.values())[:6]
+    assert [p.name for p in head] == \
+        ["matrix", "k_list", "solver", "trials", "noise_sigma", "seed"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in head)
+    assert params["threads"].kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                      inspect.Parameter.KEYWORD_ONLY)
     assert "converged" in {f.name for f in fields(SeparationTrial)}
     assert {"solver", "iterations", "converged"} <= {f.name for f in fields(TrialResult)}
     assert "trials" in {f.name for f in fields(RatioSample)}

@@ -352,17 +352,27 @@ def test_phase_k_past_solver_limit_fails_before_any_trial(monkeypatch, capsys, s
         f"error: need 0 <= k <= {limit}, got {k_list.split(',')[-1]}\n"
 
 
-@pytest.mark.parametrize("fresh", [[], ["--fresh-matrix"]], ids=["fixed", "fresh"])
-def test_phase_without_coherence_pairs_fails_before_any_trial(monkeypatch, capsys, fresh):
+def test_phase_without_coherence_pairs_fails_before_any_trial(monkeypatch, capsys):
     # a one-column matrix has no coherence profile, which used to fail only
     # after every trial had run
     monkeypatch.setattr(solvers, "_trials", unreachable("a trial"))
     monkeypatch.setattr(solvers, "recovery_trial", unreachable("a trial"))
     code = run_cli(["phase", "--ensemble", "gaussian", "--rows", "50", "--cols", "1",
-                    "--k-list", "0,1", "--solver", "bpdn", "--trials", "3000"] + fresh)
+                    "--k-list", "0,1", "--solver", "bpdn", "--trials", "3000"])
     assert code == 1
     assert capsys.readouterr().err == \
         "error: need at least two columns for a coherence profile\n"
+
+
+def test_phase_fresh_matrix_flag_is_a_usage_error(monkeypatch, capsys):
+    # phase runs every trial on the one matrix its thresholds describe
+    monkeypatch.setattr(solvers, "_trials", unreachable("a trial"))
+    code = run_cli(["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30",
+                    "--k-list", "2", "--solver", "omp", "--trials", "5", "--fresh-matrix"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --fresh-matrix" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,12 @@ from cohaudit import (
 from cohaudit.util import write_csv
 
 
+def _one_strip(values, source_dims):
+    """A sample whose pairs are the given values, read as a single strip."""
+    v = np.asarray(values, dtype=np.float64)
+    return CoherenceSample(lambda: iter((v,)), v.size, source_dims)
+
+
 def test_sample_small_oracle():
     # columns (1,0), (0,1), (1,1)/sqrt(2): pairs in lexicographic order
     r = 1.0 / np.sqrt(2.0)
@@ -92,8 +98,7 @@ def test_profile_moments_and_peak(gauss_200x400):
 
 
 def test_profile_histogram_contract():
-    from cohaudit.coherence import CoherenceSample
-    s = CoherenceSample(values=np.array([0.0, 0.5, 1.0]), source_dims=(10, 3))
+    s = _one_strip(np.array([0.0, 0.5, 1.0]), (10, 3))
     prof = profile(s, bins=2)
     hist = prof.histogram
     assert len(hist) == 2
@@ -104,8 +109,7 @@ def test_profile_histogram_contract():
 
 
 def test_profile_degenerate_all_equal():
-    from cohaudit.coherence import CoherenceSample
-    s = CoherenceSample(values=np.zeros(6), source_dims=(4, 4))
+    s = _one_strip(np.zeros(6), (4, 4))
     prof = profile(s, bins=3)
     assert prof.mutual_coherence == 0.0
     assert prof.std == 0.0
@@ -236,7 +240,7 @@ def test_streamed_statistics_match_materialised(ensemble, rows, cols, seed, data
     bins = data.draw(st.none() | st.integers(1, 30))
     streamed = coherence_sample(generate(EnsembleSpec(ensemble, rows, cols, seed)),
                                 block_cols=block)
-    whole = CoherenceSample(values=streamed.values, source_dims=(rows, cols))
+    whole = _one_strip(streamed.values, (rows, cols))
     a, b = profile(streamed, bins=bins), profile(whole, bins=bins)
     one_strip = block >= cols - 1
     assert a == b or not one_strip
@@ -283,7 +287,7 @@ def test_moments_match_fsum_oracle(matrix, block):
                                     _nearly_parallel(50, 40)])
 def test_one_strip_is_bitwise_the_materialised_sample(matrix):
     streamed = coherence_sample(matrix, block_cols=matrix.cols)
-    whole = CoherenceSample(values=streamed.values, source_dims=matrix.data.shape)
+    whole = _one_strip(streamed.values, matrix.data.shape)
     assert profile(streamed) == profile(whole)
     assert normality_check(streamed) == normality_check(whole)
 

@@ -31,11 +31,11 @@ GOLDEN = {
     "phase-omp": (
         "phase --ensemble gaussian --rows 40 --cols 100 --solver omp --k-list 2,6,10,14"
         " --trials 12 --seed 7",
-        "f722b6701be789ebfa355249970144b291a11411c4e6b02d73ba11bba68d6c05"),
+        "273ee2a0921c63359f61b6c66441ae1c04d463563fd3fc62c5dd1fa41e0709eb"),
     "phase-bpdn": (
         "phase --ensemble gaussian --rows 30 --cols 60 --solver bpdn --k-list 2,5,8"
         " --trials 4 --seed 8",
-        "b17988ac48e1527909eaa855395909c5102fcba508bd59a4298d6fb616764415"),
+        "0ecde92ed199416091fdd643ab458b7da620386cd9fbc429bfc80d0847eb1aaf"),
     "separate": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --seed 9",
         "4ab9f2831499387beb80ae03cb0b25d9156135b814f5368f107c54e6b292fc45"),

@@ -65,7 +65,6 @@ def test_separate_empty_right_equals_bpdn():
     direct = bpdn(left, y, 1e-6)
     assert np.array_equal(sep.x_hat.to_dense(), direct.estimate)
     assert sep.e_hat.sparsity == 0
-    assert np.array_equal(sep.feature_right, np.zeros(30))
 
 
 def test_separate_zero_measurement():

@@ -539,11 +539,14 @@ def test_phase_curve_deterministic_across_threads(gauss_100x500):
     assert a == b
 
 
-def test_phase_curve_fresh_matrix_mode():
-    spec = EnsembleSpec("gaussian", 40, 80, 31)
-    points = phase_curve(spec, [2], "omp", 20, 0.0, 13, fresh_matrix=True)
-    assert points[0].trials == 20
-    assert points[0].rate >= 0.9
+def test_phase_curve_takes_a_matrix_not_an_ensemble_spec(monkeypatch):
+    # every trial runs on the one given matrix: a spec is not one
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(solvers, "_trials", unreachable)
+    with pytest.raises(TypeError):
+        phase_curve(EnsembleSpec("gaussian", 40, 80, 31), [2], "omp", 20, 0.0, 13)
 
 
 @pytest.mark.parametrize("solver, noise, k_list, successes", [
