@@ -61,8 +61,6 @@ from .ripcheck import (
 )
 from .separation import (
     JointRipReport,
-    SeparationProblem,
-    SeparationResult,
     SeparationTrial,
     joint_dictionary,
     joint_rip_check,
@@ -75,7 +73,6 @@ from .separation import (
 from .solvers import (
     PhasePoint,
     SolveResult,
-    SparseSignal,
     TrialResult,
     bpdn,
     cosamp,

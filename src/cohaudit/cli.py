@@ -26,7 +26,7 @@ from .errors import InsufficientDataError
 from .ripcheck import band_frequency, sample_ratios, sample_spectral, tail_check
 from .separation import separation_feasibility, separation_trial, \
     spikes_fourier_pair
-from .solvers import SOLVERS, _check_noise, phase_curve
+from .solvers import SOLVERS, _check_nonnegative, phase_curve
 from .util import canonical_json, parallel_map, write_csv
 
 EXIT_OK = 0
@@ -184,7 +184,7 @@ def run_phase(args, parser):
         parser.error(f"bad --k-list {args.k_list!r}, expected comma-separated ints")
     if not k_list or any(b <= a for a, b in zip(k_list, k_list[1:])):
         parser.error("--k-list must be nonempty and strictly ascending")
-    _check_noise(args.noise)
+    _check_nonnegative("noise_sigma", args.noise)
     matrix, source = _resolve_matrix(args, parser)
     # a matrix without a coherence profile fails here, before any trial
     thresholds = _thresholds(coherence_sample(matrix)._two_pass())  # no histogram
@@ -212,7 +212,8 @@ def run_phase(args, parser):
 def run_separate(args, parser):
     if args.nx < 0 or args.ne < 0:
         parser.error("--nx and --ne must be >= 0")
-    _check_noise(args.noise)
+    _check_nonnegative("noise_sigma", args.noise)
+    _check_nonnegative("epsilon", args.epsilon)
     if args.preset:
         if args.n is None:
             parser.error("--preset needs --n")

@@ -1,12 +1,13 @@
 """Two-dictionary separation and corruption-robust recovery.
 
 A signal sparse in dictionary D plus a disturbance sparse in dictionary
-B is recovered jointly: stack [D B], solve one l1 problem, split the
-solution.  The feasibility condition compares the measured coherence
-spreads of D, B, and their cross products against the combined sparsity.
+B, y = D x + B e + n, is recovered jointly: separate(D, B, y, epsilon)
+runs one bpdn solve on [D B] and splits the estimate at D's column
+count into the dense arrays x_hat and e_hat.  The feasibility condition
+compares the measured coherence spreads of D, B, and their cross
+products against the combined sparsity.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,39 +18,7 @@ from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
-from .solvers import SparseSignal, _bpdn_epsilon, _observe, _plant, _score, bpdn
-from .util import frozen_copy
-
-
-@dataclass(frozen=True)
-class SeparationProblem:
-    left: MeasurementMatrix
-    right: MeasurementMatrix
-    y: np.ndarray
-    epsilon: float
-    n_x: int
-    n_e: int
-
-    def __post_init__(self):
-        y = frozen_copy(self.y).ravel()
-        if self.left.rows != self.right.rows:
-            raise DimensionError(
-                f"row mismatch: {self.left.rows} vs {self.right.rows}")
-        if y.size != self.left.rows:
-            raise DimensionError(
-                f"y has length {y.size}, dictionaries have {self.left.rows} rows")
-        if not 0 <= self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.n_x < 0 or self.n_e < 0:
-            raise DomainError(f"sparsities must be >= 0, got {self.n_x}, {self.n_e}")
-        object.__setattr__(self, "y", y)
-
-
-@dataclass
-class SeparationResult:
-    x_hat: SparseSignal
-    e_hat: SparseSignal
-    solver: object
+from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
 
 
 @dataclass(frozen=True)
@@ -96,21 +65,17 @@ def separation_feasibility(left, right, n_x, n_e):
     return separation_condition(sl, sr, sc, max(n_x, 1), max(n_e, 1))
 
 
-def separate(problem):
-    """Recover both sparse components from one joint l1 solve.
+def separate(left, right, y, epsilon):
+    """Recover both sparse components from one bpdn solve on [left right].
 
-    With an empty right dictionary this reduces exactly to bpdn on the
-    left dictionary (same path).  The feasibility margin depends only on
-    the dictionary pair and the sparsities: separation_feasibility.
+    Returns (x_hat, e_hat, result): the estimate split at left.cols into
+    its left and right parts, and bpdn's SolveResult.  With an empty
+    right dictionary this is exactly bpdn on the left dictionary.  The
+    feasibility margin depends only on the dictionary pair and the
+    sparsities: separation_feasibility.
     """
-    joint = joint_dictionary(problem.left, problem.right)
-    res = bpdn(joint, problem.y, problem.epsilon)
-    split = problem.left.cols
-    return SeparationResult(
-        x_hat=SparseSignal.from_dense(res.estimate[:split]),
-        e_hat=SparseSignal.from_dense(res.estimate[split:]),
-        solver=res,
-    )
+    res = bpdn(joint_dictionary(left, right), y, epsilon)
+    return res.estimate[:left.cols], res.estimate[left.cols:], res
 
 
 def spikes_fourier_pair(n):
@@ -120,22 +85,20 @@ def spikes_fourier_pair(n):
     return spikes, waves
 
 
-def _planted_trial(left, right, x, e, n_x, n_e, seed, noise_tag, noise_sigma, epsilon):
+def _planted_trial(left, right, x, e, seed, noise_tag, noise_sigma, epsilon):
     """Mix the planted pair (x, e), add noise, separate and score."""
     clean = left.data @ x + (right.data @ e if right.cols else 0.0)
-    problem = SeparationProblem(left=left, right=right,
-                                y=_observe(clean, noise_sigma, seed, noise_tag),
-                                epsilon=epsilon, n_x=n_x, n_e=n_e)
-    result = separate(problem)
-    x_rel, x_est, x_true = _score(result.x_hat.to_dense(), x, noise_sigma)
-    e_rel, e_est, e_true = _score(result.e_hat.to_dense(), e, noise_sigma)
+    x_hat, e_hat, res = separate(left, right, _observe(clean, noise_sigma, seed, noise_tag),
+                                 epsilon)
+    x_rel, x_est, x_true = _score(x_hat, x, noise_sigma)
+    e_rel, e_est, e_true = _score(e_hat, e, noise_sigma)
     return SeparationTrial(
         x_rel_error=x_rel,
         e_rel_error=e_rel,
         x_support_ok=x_est == x_true,
         e_support_ok=e_est == e_true,
-        residual_norm=result.solver.residual_norm,
-        converged=result.solver.converged,
+        residual_norm=res.residual_norm,
+        converged=res.converged,
     )
 
 
@@ -153,8 +116,7 @@ def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0, epsilon=1e-6)
                           f"{right.cols}, got {n_x}, {n_e}")
     x = _plant(stream(seed, "separation-x", n_x), left.cols, n_x)
     e = _plant(stream(seed, "separation-e", n_e), right.cols, n_e)
-    return _planted_trial(left, right, x, e, n_x, n_e, seed, "separation-noise",
-                          noise_sigma, epsilon)
+    return _planted_trial(left, right, x, e, seed, "separation-noise", noise_sigma, epsilon)
 
 
 def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
@@ -172,8 +134,8 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
         raise DomainError(f"need 0 <= k <= {matrix.cols}, got {k}")
     x = _plant(stream(seed, "robust-signal", k), matrix.cols, k)
     e = 10.0 * _plant(stream(seed, "robust-corruption", n_corruptions), n, n_corruptions)
-    return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, k, n_corruptions,
-                          seed, "robust-noise", noise_sigma, _bpdn_epsilon(noise_sigma, n))
+    return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, seed, "robust-noise",
+                          noise_sigma, _bpdn_epsilon(noise_sigma, n))
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):

@@ -17,7 +17,7 @@ from .ensembles import MeasurementMatrix
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
 from .ripcheck import _chunks
-from .util import frozen_copy, parallel_map
+from .util import parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
 
@@ -30,47 +30,6 @@ NOISELESS_SUCCESS_TOL = 1e-4
 # the ridged block below which a column counts as dependent on the others.
 _RIDGE = 1e-12
 _DEPENDENT_PIVOT = 1e-8
-
-
-@dataclass(frozen=True)
-class SparseSignal:
-    """Explicit sparse vector: sorted distinct support plus nonzero values."""
-
-    dim: int
-    support: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        sup = frozen_copy(self.support, int)
-        val = frozen_copy(self.values)
-        if sup.size != val.size:
-            raise DimensionError("support and values must have equal length")
-        if sup.size:
-            if np.unique(sup).size != sup.size:
-                raise ValueError("support indices must be distinct")
-            if not np.all(np.diff(sup) > 0):
-                raise ValueError("support must be sorted ascending")
-            if sup[0] < 0 or sup[-1] >= self.dim:
-                raise ValueError(f"support indices must lie in [0, {self.dim})")
-            if np.any(val == 0.0):
-                raise ValueError("values must be nonzero")
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "values", val)
-
-    @property
-    def sparsity(self):
-        return int(self.support.size)
-
-    def to_dense(self):
-        x = np.zeros(self.dim)
-        x[self.support] = self.values
-        return x
-
-    @classmethod
-    def from_dense(cls, x):
-        x = np.asarray(x, dtype=np.float64)
-        support = np.flatnonzero(np.abs(x) > 0.0)
-        return cls(dim=x.size, support=support, values=x[support])
 
 
 @dataclass
@@ -138,6 +97,12 @@ def _check_k(k, solver, rows, cols):
         raise DomainError(f"need 0 <= k <= min(rows, cols) = {min(rows, cols)}, got {k}")
     if not 0 <= k <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
+
+
+def _check_nonnegative(name, value):
+    """Reject a value that is negative, infinite or NaN."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _flag(flags, columns, name):
@@ -258,53 +223,42 @@ def _omp(op, ys, k=None, residual_tol=None):
     return _results(x, iterations, rnorm, converged, flags)
 
 
-def iht(matrix, y, k, step="auto", max_iter=1000, tol=1e-10):
+def iht(matrix, y, k, max_iter=1000, tol=1e-10):
     """Iterative hard thresholding x <- H_k(x + step M^T (y - M x)).
 
-    step='auto' uses 1 / ||M||_2^2.  Stops when the iterate moves less
-    than tol, flags 'diverged' and stops if the residual grows by 10x
-    over a 50-iteration window.
+    The step is 1 / ||M||_2^2, at which the residual never grows
+    (Blumensath & Davies 2008).  Stops when the iterate moves less than
+    tol, or after max_iter iterations without converging.
     """
     data, y = _operands(matrix, y)
-    return _iht(_Operand(data), y[:, None], k, step, max_iter, tol)[0]
+    return _iht(_Operand(data), y[:, None], k, max_iter, tol)[0]
 
 
-def _iht(op, ys, k, step="auto", max_iter=1000, tol=1e-10):
+def _iht(op, ys, k, max_iter=1000, tol=1e-10):
     """iht on each column of ys: two products and a per-column top-k per iteration."""
     data = op.data
     _check_k(k, "iht", *data.shape)
+    step = op.step
     x = np.zeros((data.shape[1], ys.shape[1]))
     iterations = np.zeros(ys.shape[1], dtype=int)
     converged = np.zeros(ys.shape[1], dtype=bool)
-    flags = [[] for _ in iterations]
-    if step == "auto":
-        step = op.step
-    elif step <= 0:
-        return _results(x, iterations, np.linalg.norm(ys, axis=0), converged,
-                        [["bad-step"]] * ys.shape[1])
-    history = np.empty((max_iter, ys.shape[1]))
     idx = np.arange(ys.shape[1])  # the live columns; xs and live_ys hold theirs
     xs, live_ys = x, ys
     for it in range(1, max_iter + 1):
-        resid = live_ys - data @ xs
-        rnorm = np.linalg.norm(resid, axis=0)
-        history[it - 1, idx] = rnorm
         iterations[idx] = it
-        grew = rnorm > 10.0 * history[it - 51, idx] if it > 50 else np.zeros(idx.size, bool)
-        moved = xs + step * (data.T @ resid)
+        moved = xs + step * (data.T @ (live_ys - data @ xs))
         x_next = np.where(_top_k(np.abs(moved), k), moved, 0.0)
-        done = ~grew & (np.linalg.norm(x_next - xs, axis=0) <= tol)
-        x_next[:, grew] = xs[:, grew]
-        xs, stop = x_next, done | grew
-        if stop.any():
-            x[:, idx[stop]] = xs[:, stop]
+        done = np.linalg.norm(x_next - xs, axis=0) <= tol
+        xs = x_next
+        if done.any():
+            x[:, idx[done]] = xs[:, done]
             converged[idx[done]] = True
-            _flag(flags, idx[grew], "diverged")
-            idx, xs, live_ys = idx[~stop], xs[:, ~stop], live_ys[:, ~stop]
+            idx, xs, live_ys = idx[~done], xs[:, ~done], live_ys[:, ~done]
             if idx.size == 0:
                 break
     x[:, idx] = xs
-    return _results(x, iterations, np.linalg.norm(ys - data @ x, axis=0), converged, flags)
+    return _results(x, iterations, np.linalg.norm(ys - data @ x, axis=0), converged,
+                    [[] for _ in iterations])
 
 
 def cosamp(matrix, y, k, max_iter=100):
@@ -454,8 +408,7 @@ def lasso(matrix, y, lam):
     info['lam'] is lam and iterations counts breakpoints.
     """
     data, y = _operands(matrix, y)
-    if not 0 <= lam < math.inf:
-        raise DomainError(f"lam must be finite and >= 0, got {lam}")
+    _check_nonnegative("lam", lam)
     x, resid, _, steps, flags, _ = _path(data, y, 0.0, lam)
     return SolveResult(estimate=x, iterations=steps,
                        residual_norm=float(np.linalg.norm(resid)),
@@ -475,8 +428,7 @@ def bpdn(matrix, y, epsilon):
     returned point's lambda; iterations counts breakpoints.
     """
     data, y = _operands(matrix, y)
-    if not 0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    _check_nonnegative("epsilon", epsilon)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0 or epsilon >= ynorm:
         return SolveResult(estimate=np.zeros(data.shape[1]), iterations=0,
@@ -501,14 +453,9 @@ def _plant(rng, cols, k):
     return x
 
 
-def _check_noise(noise_sigma):
-    if not 0 <= noise_sigma < math.inf:
-        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-
-
 def _observe(clean, noise_sigma, seed, *tags):
     """clean plus Gaussian noise of noise_sigma drawn from stream(seed, *tags)."""
-    _check_noise(noise_sigma)
+    _check_nonnegative("noise_sigma", noise_sigma)
     if noise_sigma > 0:
         return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.size)
     return clean

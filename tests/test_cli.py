@@ -382,13 +382,18 @@ def test_phase_fresh_matrix_flag_is_a_usage_error(monkeypatch, capsys):
      "--solver", "bpdn", "--noise", "nan"],
     ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
      "--noise", "-1"],
+    ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
+     "--epsilon", "nan"],
+    ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
+     "--epsilon", "-1"],
 ])
 def test_bad_noise_fails_before_any_work(monkeypatch, capsys, argv):
     for name in ("generate", "spikes_fourier_pair", "separation_feasibility"):
         monkeypatch.setattr(cli, name, unreachable(name))
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: noise_sigma must be finite and >= 0, got {float(argv[-1])}\n"
+    name = {"--noise": "noise_sigma", "--epsilon": "epsilon"}[argv[-2]]
+    assert err == f"error: {name} must be finite and >= 0, got {float(argv[-1])}\n"
 
 
 FUZZ_VALUES = st.sampled_from(["-1", "0", "0.01", "nan", "inf"])

@@ -3,9 +3,9 @@ import pytest
 
 from cohaudit import (
     DimensionError,
+    DomainError,
     EnsembleSpec,
     MeasurementMatrix,
-    SeparationProblem,
     bpdn,
     coherence_sample,
     generate,
@@ -59,32 +59,39 @@ def test_separate_empty_right_equals_bpdn():
     x = np.zeros(60)
     x[[4, 30, 55]] = rng.standard_normal(3)
     y = left.data @ x
-    prob = SeparationProblem(left=left, right=right, y=y, epsilon=1e-6,
-                             n_x=3, n_e=0)
-    sep = separate(prob)
+    x_hat, e_hat, _ = separate(left, right, y, 1e-6)
     direct = bpdn(left, y, 1e-6)
-    assert np.array_equal(sep.x_hat.to_dense(), direct.estimate)
-    assert sep.e_hat.sparsity == 0
+    assert np.array_equal(x_hat, direct.estimate)
+    assert e_hat.size == 0
+
+
+def test_separate_splits_the_joint_bpdn_estimate():
+    d, b = spikes_fourier_pair(32)
+    rng = np.random.default_rng(4)
+    y = d.data[:, [3, 20]] @ rng.standard_normal(2) + b.data[:, [5, 9]] @ rng.standard_normal(2)
+    x_hat, e_hat, res = separate(d, b, y, 0.01)
+    direct = bpdn(joint_dictionary(d, b), y, 0.01)
+    assert x_hat.shape == (32,) and e_hat.shape == (b.cols,)
+    assert np.array_equal(np.concatenate([x_hat, e_hat]), direct.estimate)
+    assert np.array_equal(res.estimate, direct.estimate)
+    assert (res.iterations, res.residual_norm, res.converged, res.flags) == \
+        (direct.iterations, direct.residual_norm, direct.converged, direct.flags)
 
 
 def test_separate_zero_measurement():
     d, b = spikes_fourier_pair(16)
-    prob = SeparationProblem(left=d, right=b, y=np.zeros(16), epsilon=0.0,
-                             n_x=2, n_e=2)
-    sep = separate(prob)
-    assert sep.x_hat.sparsity == 0
-    assert sep.e_hat.sparsity == 0
-    assert sep.solver.converged
+    x_hat, e_hat, res = separate(d, b, np.zeros(16), 0.0)
+    assert np.count_nonzero(x_hat) == 0
+    assert np.count_nonzero(e_hat) == 0
+    assert res.converged
 
 
 def test_separation_problem_validation():
     d, b = spikes_fourier_pair(8)
     with pytest.raises(DimensionError):
-        SeparationProblem(left=d, right=b, y=np.zeros(7), epsilon=0.0,
-                          n_x=1, n_e=1)
-    with pytest.raises(ValueError):
-        SeparationProblem(left=d, right=b, y=np.zeros(8), epsilon=-1.0,
-                          n_x=1, n_e=1)
+        separate(d, b, np.zeros(7), 0.0)
+    with pytest.raises(DomainError):
+        separate(d, b, np.zeros(8), -1.0)
 
 
 def test_spikes_fourier_single_trial_accuracy():
