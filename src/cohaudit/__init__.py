@@ -8,7 +8,6 @@ two-dictionary separation on synthetic instances.
 
 from .bounds import (
     BoundReport,
-    RipWidth,
     SeparationCondition,
     coherence_band_probability,
     energy_deviation_tail,

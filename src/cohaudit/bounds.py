@@ -33,15 +33,6 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class RipWidth:
-    """Half-width of the probabilistic energy band 1 +- g at sparsity k."""
-
-    k: int
-    variant: str
-    g: float
-
-
-@dataclass(frozen=True)
 class SeparationCondition:
     """Feasibility margin for two-dictionary separation at given sparsities."""
 
@@ -155,12 +146,10 @@ def rip_width(k, sigma, variant="energy"):
     if sigma < 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if variant == "energy":
-        g = 2.0 * sigma * math.sqrt(k - 1)
-    elif variant == "spectral":
-        g = 2.0 * sigma * math.sqrt(k * (k - 1))
-    else:
-        raise ValueError(f"unknown rip_width variant {variant!r}")
-    return RipWidth(k=int(k), variant=variant, g=g)
+        return 2.0 * sigma * math.sqrt(k - 1)
+    if variant == "spectral":
+        return 2.0 * sigma * math.sqrt(k * (k - 1))
+    raise ValueError(f"unknown rip_width variant {variant!r}")
 
 
 def l1_stability_feasible(k, sigma):

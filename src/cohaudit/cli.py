@@ -134,12 +134,12 @@ def run_verify(args, parser):
     sigma = coherence_sample(matrix)._two_pass().std  # no histogram
     ratios = sample_ratios(matrix, k, args.trials, args.seed,
                            coeff_model=args.coeff_model, threads=args.threads)
-    g_energy = rip_width(k, sigma, "energy").g
+    g_energy = rip_width(k, sigma, "energy")
     band = band_frequency(ratios, g_energy)
     spectral_trials = args.trials if args.spectral_trials is None else args.spectral_trials
     spectral = sample_spectral(matrix, k, spectral_trials, args.seed,
                                threads=args.threads)
-    g_spectral = rip_width(k, sigma, "spectral").g
+    g_spectral = rip_width(k, sigma, "spectral")
     ratio_points = []
     spectral_points = []
     if sigma > 0.0 and k >= 2:

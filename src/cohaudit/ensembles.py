@@ -50,10 +50,9 @@ class MeasurementMatrix:
     """Immutable dense matrix with unit-norm-column bookkeeping."""
 
     data: np.ndarray
-    ensemble_tag: str = "custom"
 
     def __post_init__(self):
-        _adopt(self, np.array(self.data, dtype=np.float64, order="C", copy=True), self.ensemble_tag)
+        _adopt(self, np.array(self.data, dtype=np.float64, order="C", copy=True))
 
     @property
     def rows(self):
@@ -67,7 +66,7 @@ class MeasurementMatrix:
         return np.linalg.norm(self.data, axis=0)
 
 
-def _adopt(matrix, arr, ensemble_tag):
+def _adopt(matrix, arr):
     """Check arr and freeze it as matrix.data, uncopied: arr is new and held nowhere else."""
     arr = np.asarray(arr, dtype=np.float64, order="C")  # a no-op on the arrays made here
     if arr.ndim != 2:
@@ -79,7 +78,6 @@ def _adopt(matrix, arr, ensemble_tag):
         raise ValueError("matrix entries must be finite")
     arr.flags.writeable = False
     object.__setattr__(matrix, "data", arr)
-    object.__setattr__(matrix, "ensemble_tag", ensemble_tag)
     return matrix
 
 
@@ -124,7 +122,7 @@ def generate_raw(spec):
         raw = (2.0 * rng.integers(0, 2, size=(spec.rows, spec.cols)) - 1.0) / np.sqrt(spec.rows)
     else:
         raw = _fourier_rows(spec.cols, k_subset(rng, spec.cols, spec.rows))
-    return _adopt(object.__new__(MeasurementMatrix), raw, spec.ensemble)
+    return _adopt(object.__new__(MeasurementMatrix), raw)
 
 
 def generate(spec):
@@ -146,7 +144,7 @@ def normalize_columns(matrix):
     factors[np.abs(norms - 1.0) <= _NORM_SKIP] = 1.0
     if np.all(factors == 1.0):
         return matrix
-    return _adopt(object.__new__(MeasurementMatrix), matrix.data * factors, matrix.ensemble_tag)
+    return _adopt(object.__new__(MeasurementMatrix), matrix.data * factors)
 
 
 def save_matrix(matrix, path, file_format="binary"):
@@ -167,27 +165,22 @@ def save_matrix(matrix, path, file_format="binary"):
         raise MatrixFormatError(f"unknown matrix format {file_format!r}")
 
 
-def load_matrix(path, file_format=None):
+def load_matrix(path):
     """Read a matrix written by save_matrix.
 
-    The file stores shape and entries only, so the result carries
-    ensemble_tag 'custom'.  Format is inferred from the file
-    contents when not given: binary if the magic matches, CSV otherwise.
+    The format comes from the file contents: binary if the magic
+    matches, CSV otherwise.
     """
     path = Path(path)
     blob = path.read_bytes()
-    if file_format is None:
-        file_format = "binary" if blob[:4] == _MAGIC else "csv"
-    if file_format == "binary":
+    if blob[:4] == _MAGIC:
         return _parse_binary(blob, path)
-    if file_format == "csv":
-        return _parse_csv(blob, path)
-    raise MatrixFormatError(f"unknown matrix format {file_format!r}")
+    return _parse_csv(blob, path)
 
 
 def _parse_binary(blob, path):
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise MatrixFormatError(f"{path}: bad or missing magic header")
+    if len(blob) < 12:
+        raise MatrixFormatError(f"{path}: truncated header")
     rows, cols = struct.unpack("<II", blob[4:12])
     expected = 12 + 8 * rows * cols
     if len(blob) != expected:

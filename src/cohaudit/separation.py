@@ -33,9 +33,7 @@ class SeparationTrial:
 
 @dataclass(frozen=True)
 class JointRipReport:
-    g: float
     in_band: float
-    g_pair_scaled: float
     in_band_pair_scaled: float
     trials: int
     max_energy_gap: float
@@ -43,7 +41,7 @@ class JointRipReport:
 
 
 def joint_dictionary(left, right):
-    """Column-stack two dictionaries into one (tagged 'custom')."""
+    """Column-stack two dictionaries into one."""
     if left.rows != right.rows:
         raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
     return MeasurementMatrix(np.hstack([left.data, right.data]))
@@ -175,7 +173,5 @@ def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):
     dev = np.abs(ratios - 1.0)
     in_band = float(np.mean(dev <= cond.g_joint + BAND_ROUNDING))
     in_band_pair = float(np.mean(dev <= cond.g_joint_pair_scaled + BAND_ROUNDING))
-    return JointRipReport(g=cond.g_joint, in_band=in_band,
-                          g_pair_scaled=cond.g_joint_pair_scaled,
-                          in_band_pair_scaled=in_band_pair, trials=trials,
+    return JointRipReport(in_band=in_band, in_band_pair_scaled=in_band_pair, trials=trials,
                           max_energy_gap=float(np.max(gaps)), condition=cond)

@@ -63,9 +63,9 @@ def write_csv(path, header, fmt, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def frozen_copy(values, dtype=np.float64):
-    """Read-only copy of values as an array of dtype."""
-    arr = np.array(values, dtype=dtype, copy=True)
+def frozen_copy(values):
+    """Read-only float64 copy of values."""
+    arr = np.array(values, dtype=np.float64, copy=True)
     arr.flags.writeable = False
     return arr
 

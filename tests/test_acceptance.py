@@ -81,7 +81,7 @@ def test_criterion_04_statistical_band_frequency():
     t0 = time.time()
     m = reference_matrix()
     sigma = profile(coherence_sample(m)).std
-    g = rip_width(10, sigma, "energy").g
+    g = rip_width(10, sigma, "energy")
     ratios = sample_ratios(m, 10, 10_000, 42, threads=4)
     freq = band_frequency(ratios, g)
     elapsed = time.time() - t0
@@ -97,12 +97,12 @@ def test_criterion_05_tail_domination():
     sigma = profile(coherence_sample(m)).std
     k = 5
     ratios = sample_ratios(m, k, 2000, 42, threads=4)
-    g_energy = rip_width(k, sigma, "energy").g
+    g_energy = rip_width(k, sigma, "energy")
     ratio_points = tail_check(
         ratios, [0.5 * g_energy, g_energy, 2.0 * g_energy],
         lambda t: energy_deviation_tail(t, k, sigma, 1.0))
     spectral = sample_spectral(m, k, 2000, 42, threads=4)
-    g_spectral = rip_width(k, sigma, "spectral").g
+    g_spectral = rip_width(k, sigma, "spectral")
     spectral_points = tail_check(
         spectral, [0.5 * g_spectral, g_spectral, 2.0 * g_spectral],
         lambda t: spectral_deviation_tail(t, k, sigma))

@@ -151,17 +151,17 @@ def test_spectral_tail_monotone_in_t():
 
 
 def test_rip_width_values():
-    assert abs(rip_width(10, 0.0707, "energy").g - 0.42420) <= 1e-4
-    assert rip_width(1, 0.3, "energy").g == 0.0
-    assert rip_width(1, 0.3, "spectral").g == 0.0
+    assert abs(rip_width(10, 0.0707, "energy") - 0.42420) <= 1e-4
+    assert rip_width(1, 0.3, "energy") == 0.0
+    assert rip_width(1, 0.3, "spectral") == 0.0
     w = rip_width(7, 0.1, "spectral")
-    assert abs(w.g - 2.0 * 0.1 * math.sqrt(42.0)) <= 1e-12
+    assert abs(w - 2.0 * 0.1 * math.sqrt(42.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 5, 20])
 def test_rip_width_spectral_dominates_energy(k):
-    e = rip_width(k, 0.08, "energy").g
-    s = rip_width(k, 0.08, "spectral").g
+    e = rip_width(k, 0.08, "energy")
+    s = rip_width(k, 0.08, "spectral")
     assert s >= e
 
 

@@ -146,11 +146,19 @@ def test_verify_duplicate_column_fails(tmp_path):
     assert any(not p["ok"] for p in rep["ratio_tail"] + rep["spectral_tail"])
 
 
-def test_verify_thread_count_does_not_change_bytes(tmp_path):
+@pytest.mark.parametrize("base", [
+    ["verify", "--ensemble", "gaussian", "--rows", "100", "--cols", "200",
+     "--seed", "9", "--k", "5", "--trials", "400"],
+    ["phase", "--ensemble", "gaussian", "--rows", "30", "--cols", "60", "--seed", "9",
+     "--k-list", "2,6", "--solver", "omp", "--trials", "12", "--noise", "0.01"],
+    ["separate", "--preset", "spikes-fourier", "--n", "32", "--seed", "9",
+     "--nx", "2", "--ne", "2", "--trials", "6"],
+], ids=lambda argv: argv[0])
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, base):
+    # four cores, so that --threads 4 runs a pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    base = ["verify", "--ensemble", "gaussian", "--rows", "100", "--cols", "200",
-            "--seed", "9", "--k", "5", "--trials", "400"]
     assert run_cli(base + ["--threads", "1", "--out", str(a)]) == 0
     assert run_cli(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -245,6 +253,19 @@ def test_separate_mismatched_dictionaries(tmp_path):
                     "--nx", "2", "--ne", "2", "--trials", "2",
                     "--out", str(tmp_path / "sep.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30",
+      "--k-list", "1,x", "--solver", "omp"], "bad --k-list '1,x'"),
+    (["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "-1", "--ne", "2"],
+     "--nx and --ne must be >= 0"),
+    (["separate", "--preset", "spikes-fourier", "--n", "1", "--nx", "1", "--ne", "1"],
+     "--n must be >= 2"),
+], ids=["k-list", "nx", "n"])
+def test_usage_error_messages(capsys, argv, message):
+    assert run_cli(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_separate_usage_errors(capsys):

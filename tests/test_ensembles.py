@@ -190,7 +190,6 @@ def test_generate_output_is_readonly_c_order(ensemble):
               generate(EnsembleSpec(ensemble, 6, 9, 2))):
         assert m.data.dtype == np.float64 and m.data.flags.c_contiguous
         assert not m.data.flags.writeable
-        assert m.ensemble_tag == ensemble
         with pytest.raises(ValueError):
             m.data[0, 0] = 2.0
 
@@ -213,7 +212,6 @@ def test_binary_roundtrip_bitwise(tmp_path):
     back = load_matrix(path)
     assert back.rows == 17 and back.cols == 23
     assert np.array_equal(back.data, m.data)
-    assert back.ensemble_tag == "custom"
 
 
 def test_csv_roundtrip_bitwise(tmp_path):
@@ -259,7 +257,7 @@ def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(MatrixFormatError):
-        load_matrix(path, "binary")
+        load_matrix(path)
 
 
 def test_binary_truncated_payload(tmp_path):

@@ -153,12 +153,12 @@ def test_tail_check_rejects_bad_grid(gauss_200x400):
 def test_tail_domination_gaussian(gauss_200x400):
     sigma = profile(coherence_sample(gauss_200x400)).std
     k = 10
-    g = rip_width(k, sigma, "energy").g
+    g = rip_width(k, sigma, "energy")
     ratios = sample_ratios(gauss_200x400, k, 3000, 21)
     pts = tail_check(ratios, [0.5 * g, g, 2 * g],
                      lambda t: energy_deviation_tail(t, k, sigma, 1.0))
     assert all(p.ok for p in pts)
-    gs = rip_width(5, sigma, "spectral").g
+    gs = rip_width(5, sigma, "spectral")
     spectral = sample_spectral(gauss_200x400, 5, 1000, 22)
     pts = tail_check(spectral, [0.5 * gs, gs, 2 * gs],
                      lambda t: spectral_deviation_tail(t, 5, sigma))
@@ -175,7 +175,7 @@ def test_tail_check_flags_duplicate_column_matrix():
     data[0, N - 1] = 1.0
     m = MeasurementMatrix(data)
     sigma = profile(coherence_sample(m)).std
-    gs = rip_width(2, sigma, "spectral").g
+    gs = rip_width(2, sigma, "spectral")
     s = sample_spectral(m, 2, 4000, 5)
     pts = tail_check(s, [2 * gs], lambda t: spectral_deviation_tail(t, 2, sigma))
     assert not pts[0].ok

@@ -26,7 +26,6 @@ def test_joint_dictionary_layout():
     assert joint.rows == 2 and joint.cols == 5
     assert np.array_equal(joint.data[:, :2], left.data)
     assert np.array_equal(joint.data[:, 2:], right.data)
-    assert joint.ensemble_tag == "custom"
 
 
 def test_joint_dictionary_empty_right():
@@ -168,7 +167,7 @@ def test_joint_rip_orthogonal_blocks_exact():
     rep = joint_rip_check(left, right, 3, 3, 500, 4)
     assert rep.in_band == 1.0
     assert rep.max_energy_gap <= 1e-10
-    assert rep.g == 0.0  # zero spreads through and through
+    assert rep.condition.g_joint == 0.0  # zero spreads through and through
 
 
 def test_joint_rip_spikes_fourier_bands():

@@ -290,6 +290,34 @@ def test_bpdn_infeasible_epsilon_flagged():
     assert not res.converged
 
 
+def test_bpdn_singular_gram_stops_at_last_breakpoint(monkeypatch):
+    m = generate(EnsembleSpec("gaussian", 20, 40, 0))
+    x = np.zeros(40)
+    x[[3, 11, 17, 29, 36]] = [1.0, -0.7, 0.5, 0.9, -1.2]
+    y = m.data @ x
+    assert bpdn(m, y, 1e-6).iterations > 3
+    solve, calls = np.linalg.solve, []
+
+    def failing_solve(a, b):
+        # the active Gram system turns singular at the third breakpoint
+        calls.append(None)
+        if len(calls) >= 3:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    res = bpdn(m, y, 1e-6)
+    monkeypatch.undo()
+    assert res.flags == ("singular-gram",) and not res.converged
+    assert res.iterations == 3
+    # two active atoms; the one that joined at this breakpoint is zero to rounding
+    assert 1 <= np.count_nonzero(res.estimate) <= 2
+    assert abs(res.residual_norm - np.linalg.norm(y - m.data @ res.estimate)) <= 1e-12
+    # the last breakpoint lies on the lasso path at its lambda
+    on_path = lasso(m, y, res.info["lam"]).estimate
+    assert np.max(np.abs(res.estimate - on_path)) <= 1e-12
+
+
 def lasso_objective(data, y, x, lam):
     r = y - data @ x
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
