@@ -33,20 +33,8 @@ def substream_seed(seed, *tags):
 
 
 def k_subset(rng, n, k):
-    """Uniform random k-subset of range(n), returned sorted.
-
-    Partial Fisher-Yates: draws exactly k integers from rng regardless of
-    n, so the stream consumption is reproducible.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    idx = np.arange(n)
-    for i in range(k):
-        j = i + int(rng.integers(0, n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    out = idx[:k].copy()
-    out.sort()
-    return out
+    """Uniform random k-subset of range(n), returned sorted: one row of k_subsets."""
+    return k_subsets(rng, n, k, 1)[0]
 
 
 def k_subsets(rng, n, k, count):

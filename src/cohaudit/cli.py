@@ -19,7 +19,7 @@ from pathlib import Path
 from ._streams import substream_seed
 from .bounds import energy_deviation_tail, rip_width, sparsity_bounds, \
     spectral_deviation_tail
-from .coherence import coherence_sample, normality_check, profile
+from .coherence import HIST_BIN_CAP, coherence_sample, normality_check, profile
 from .ensembles import ENSEMBLES, EnsembleSpec, generate, load_matrix, \
     normalize_columns
 from .errors import InsufficientDataError
@@ -46,6 +46,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _bin_count(text):
+    """argparse type for --bins: a count from 1 to HIST_BIN_CAP."""
+    value = _positive_int(text)
+    if value > HIST_BIN_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {HIST_BIN_CAP}, got {value}")
     return value
 
 
@@ -280,8 +288,8 @@ def build_parser():
     p_audit = subs.add_parser("audit", help="coherence profile and sparsity thresholds")
     _add_source_args(p_audit)
     _add_common_args(p_audit)
-    p_audit.add_argument("--bins", type=_positive_int, default=None,
-                         help="histogram bin count (default ceil(sqrt(pairs)))")
+    p_audit.add_argument("--bins", type=_bin_count, default=None,
+                         help=f"histogram bins, 1 to {HIST_BIN_CAP} (default ceil(sqrt(pairs)))")
     p_audit.add_argument("--hist-csv", help="also write the histogram as CSV")
     p_audit.set_defaults(func=run_audit)
 

@@ -144,13 +144,14 @@ def profile(sample, bins=None):
 
     std is the population (1/count) standard deviation.  The histogram
     covers [min, max] with equal-width bins, max falling in the last bin;
-    default bin count is ceil(sqrt(count)) capped at 512.
+    default bin count is ceil(sqrt(count)) capped at HIST_BIN_CAP = 512,
+    and an explicit one must lie in [1, HIST_BIN_CAP].
     """
     count = sample.count
     if bins is None:
         bins = min(math.ceil(math.sqrt(count)), HIST_BIN_CAP)
-    elif bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    elif not 1 <= bins <= HIST_BIN_CAP:
+        raise ValueError(f"bins must be in [1, {HIST_BIN_CAP}], got {bins}")
     st = sample._two_pass(bins)
     edges = np.linspace(st.lo, st.hi, bins + 1)
     hist = tuple(zip(map(float, edges[:-1]), map(float, edges[1:]), map(int, st.counts)))

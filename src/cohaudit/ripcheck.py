@@ -26,10 +26,7 @@ class RatioSample:
     """Energy ratios over random supports and coefficients."""
 
     values: np.ndarray
-    k: int
     trials: int
-    seed: int
-    coeff_model: str
 
     def __post_init__(self):
         object.__setattr__(self, "values", frozen_copy(self.values))
@@ -40,9 +37,7 @@ class SpectralSample:
     """Gram-submatrix spectral deviations over random supports."""
 
     values: np.ndarray
-    k: int
     trials: int
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", frozen_copy(self.values))
@@ -126,8 +121,7 @@ def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
         return out / _row_dot(coeffs, coeffs)
 
     values = _map_blocks(block, trials, threads)
-    return RatioSample(values=values, k=k, trials=trials, seed=seed,
-                       coeff_model=coeff_model)
+    return RatioSample(values=values, trials=trials)
 
 
 BAND_ROUNDING = 1e-12
@@ -182,7 +176,7 @@ def sample_spectral(matrix, k, trials, seed, threads=1):
         return out
 
     values = _map_blocks(block, trials, threads)
-    return SpectralSample(values=values, k=k, trials=trials, seed=seed)
+    return SpectralSample(values=values, trials=trials)
 
 
 def tail_check(sample, t_grid, bound_fn):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import stream
 from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
@@ -112,8 +111,8 @@ def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0, epsilon=1e-6)
     if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
         raise DomainError(f"need 0 <= n_x <= {left.cols} and 0 <= n_e <= "
                           f"{right.cols}, got {n_x}, {n_e}")
-    x = _plant(stream(seed, "separation-x", n_x), left.cols, n_x)
-    e = _plant(stream(seed, "separation-e", n_e), right.cols, n_e)
+    x = _plant(seed, "separation-x", n_x, left.cols, 1)[:, 0]
+    e = _plant(seed, "separation-e", n_e, right.cols, 1)[:, 0]
     return _planted_trial(left, right, x, e, seed, "separation-noise", noise_sigma, epsilon)
 
 
@@ -130,8 +129,8 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
         raise DimensionError(f"need 0 <= n_corruptions <= {n}, got {n_corruptions}")
     if not 0 <= k <= matrix.cols:
         raise DomainError(f"need 0 <= k <= {matrix.cols}, got {k}")
-    x = _plant(stream(seed, "robust-signal", k), matrix.cols, k)
-    e = 10.0 * _plant(stream(seed, "robust-corruption", n_corruptions), n, n_corruptions)
+    x = _plant(seed, "robust-signal", k, matrix.cols, 1)[:, 0]
+    e = 10.0 * _plant(seed, "robust-corruption", n_corruptions, n, 1)[:, 0]
     return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, seed, "robust-noise",
                           noise_sigma, _bpdn_epsilon(noise_sigma, n))
 

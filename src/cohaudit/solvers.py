@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._streams import k_subset, stream, substream_seed
+from ._streams import stream
 from .ensembles import MeasurementMatrix
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
-from .ripcheck import _chunks
+from .ripcheck import _block_draws, _chunks
 from .util import parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
@@ -44,8 +44,6 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class TrialResult:
-    k: int
-    seed: int
     solver: str
     rel_error: float
     support_precision: float
@@ -445,19 +443,19 @@ def bpdn(matrix, y, epsilon):
                        converged=reached, flags=tuple(flags), info={"lam": float(lam)})
 
 
-def _plant(rng, cols, k):
-    """Dense planted signal: a uniform k-subset support, then Gaussian values."""
-    support = k_subset(rng, cols, k)
-    x = np.zeros(cols)
-    x[support] = rng.standard_normal(k)
+def _plant(seed, purpose, k, cols, trials):
+    """(cols, trials) planted signals; column i is row i of _block_draws' block 0 at (seed, k)."""
+    supports, values = _block_draws(seed, purpose, k, cols, 0, trials)
+    x = np.zeros((cols, trials))
+    x[supports, np.arange(trials)[:, None]] = values
     return x
 
 
 def _observe(clean, noise_sigma, seed, *tags):
-    """clean plus Gaussian noise of noise_sigma drawn from stream(seed, *tags)."""
+    """clean plus N(0, noise_sigma^2) from stream(seed, *tags); a block draws column by column."""
     _check_nonnegative("noise_sigma", noise_sigma)
     if noise_sigma > 0:
-        return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.size)
+        return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.shape[::-1]).T
     return clean
 
 
@@ -479,13 +477,12 @@ def _bpdn_epsilon(noise_sigma, rows):
     return 1.1 * noise_sigma * math.sqrt(rows) if noise_sigma > 0 else 0.0
 
 
-def _trials(op, k, solver, noise_sigma, seeds, options=None):
-    """One planted recovery trial per seed, solved together as the columns of Y."""
+def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
+    """Planted trials 0 to trials - 1 at seed, solved together as the columns of Y."""
     rows, cols = op.data.shape
     _check_k(k, solver, rows, cols)
-    truths = [_plant(stream(seed, "signal", k), cols, k) for seed in seeds]
-    ys = np.column_stack([_observe(op.data @ x, noise_sigma, seed, "noise", k)
-                          for x, seed in zip(truths, seeds)])
+    truths = _plant(seed, "signal", k, cols, trials)
+    ys = _observe(op.data @ truths, noise_sigma, seed, "noise", k)
     opts = dict(options or {})
     if solver == "bpdn":
         opts.setdefault("epsilon", _bpdn_epsilon(noise_sigma, rows))
@@ -493,13 +490,13 @@ def _trials(op, k, solver, noise_sigma, seeds, options=None):
     else:
         solved = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver](op, ys, k, **opts)
     out = []
-    for x, seed, res in zip(truths, seeds, solved):
+    for x, res in zip(truths.T, solved):
         rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
         hits = len(est_sup & true_sup)
         precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
         recall = hits / len(true_sup) if true_sup else 1.0
         success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
-        out.append(TrialResult(k=k, seed=seed, solver=solver, rel_error=rel,
+        out.append(TrialResult(solver=solver, rel_error=rel,
                                support_precision=precision, support_recall=recall,
                                success=success, iterations=res.iterations,
                                residual_norm=res.residual_norm,
@@ -508,13 +505,13 @@ def _trials(op, k, solver, noise_sigma, seeds, options=None):
 
 
 def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
-    """One synthetic recovery experiment with a known planted signal.
+    """Trial 0 of phase_curve's block for k at seed: one planted recovery experiment.
 
     Noiseless success means relative l2 error <= 1e-4; noisy success
     means the estimated support (entries above 10 * noise_sigma) matches
     the true support exactly.
     """
-    return _trials(_Operand(matrix), k, solver, noise_sigma, [seed], solver_options)[0]
+    return _trials(_Operand(matrix), k, solver, noise_sigma, seed, 1, solver_options)[0]
 
 
 def wilson_interval(successes, trials):
@@ -542,9 +539,10 @@ def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
     Every trial runs on the one given matrix, and every k is checked
     against the solver before the first trial.  The trials of one k are
     solved together as the columns of one block (bpdn's one column at a
-    time), and the IHT step is computed once per curve.  Per-trial seeds
-    are keyed substreams of (seed, k, trial) and threads share out whole
-    k, so the curve is reproducible at any thread count.
+    time), and the IHT step is computed once per curve.  Each k plants
+    its trials as one block from streams keyed by (seed, k), trial i from
+    row i, and threads share out whole k, so the curve is reproducible at
+    any thread count.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -558,8 +556,7 @@ def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
         _check_k(k, solver, *op.data.shape)
 
     def point(k):
-        seeds = [substream_seed(seed, "trial", k, trial) for trial in range(trials)]
-        wins = sum(1 for r in _trials(op, k, solver, noise_sigma, seeds) if r.success)
+        wins = sum(1 for r in _trials(op, k, solver, noise_sigma, seed, trials) if r.success)
         lo, hi = wilson_interval(wins, trials)
         return PhasePoint(k=k, trials=trials, successes=wins,
                           rate=wins / trials, ci_low=lo, ci_high=hi)

@@ -3,9 +3,10 @@
 These are the straightforward one-signal forms of omp, iht and cosamp:
 least squares by `np.linalg.lstsq` with a ridge fallback on rank
 deficiency, a `lexsort` hard threshold, and ||M||_2 recomputed for every
-IHT solve.  `recovery_trial` plants, observes and scores a trial exactly
-as the library does, then solves it with these.  Tests compare the
-library's batched phase path against them trial by trial.
+IHT solve.  `recovery_trials` plants, observes and scores a block of
+trials exactly as the library does, then solves each column with these.
+Tests compare the library's batched phase path against them trial by
+trial.
 
 `lasso` is an iterative l1 solver (monotone FISTA, Beck & Teboulle 2009)
 that tests hold the exact lasso path of `lasso` and `bpdn` against.
@@ -18,7 +19,6 @@ import numpy as np
 from cohaudit.errors import DomainError
 from cohaudit.solvers import NOISELESS_SUCCESS_TOL, SolveResult, _observe, _operands, \
     _plant, _score
-from cohaudit._streams import stream
 from cohaudit.linalg import operator_norm
 
 # lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
@@ -219,11 +219,14 @@ def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
 SOLVE = {"omp": omp, "iht": iht, "cosamp": cosamp}
 
 
-def recovery_trial(data, k, solver, noise_sigma, seed, **options):
-    """(success, iterations, converged, flags) of one planted trial, solved per trial."""
-    x = _plant(stream(seed, "signal", k), data.shape[1], k)
-    y = _observe(data @ x, noise_sigma, seed, "noise", k)
-    res = SOLVE[solver](data, y, k, **options)
-    rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
-    success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
-    return success, res.iterations, res.converged, res.flags
+def recovery_trials(data, k, solver, noise_sigma, seed, trials, **options):
+    """(success, iterations, converged, flags) of each planted trial, solved per column."""
+    truths = _plant(seed, "signal", k, data.shape[1], trials)
+    ys = _observe(data @ truths, noise_sigma, seed, "noise", k)
+    out = []
+    for x, y in zip(truths.T, ys.T):
+        res = SOLVE[solver](data, y, k, **options)
+        rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
+        success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
+        out.append((success, res.iterations, res.converged, res.flags))
+    return out

@@ -262,7 +262,9 @@ def test_separate_mismatched_dictionaries(tmp_path):
      "--nx and --ne must be >= 0"),
     (["separate", "--preset", "spikes-fourier", "--n", "1", "--nx", "1", "--ne", "1"],
      "--n must be >= 2"),
-], ids=["k-list", "nx", "n"])
+    (["audit", "--ensemble", "gaussian", "--rows", "5", "--cols", "4", "--bins", "513"],
+     "argument --bins: must be <= 512, got 513"),
+], ids=["k-list", "nx", "n", "bins"])
 def test_usage_error_messages(capsys, argv, message):
     assert run_cli(argv) == 2
     assert message in capsys.readouterr().err
@@ -520,6 +522,14 @@ def test_counts_below_one_are_usage_errors(capsys):
     err = capsys.readouterr().err
     assert "argument --bins: must be >= 1, got 0" in err
     assert "argument --threads: must be >= 1, got -3" in err
+
+
+def test_bins_up_to_the_histogram_cap(capsys):
+    # above the cap (see test_usage_error_messages) the flag, not the input,
+    # would set the report size, memory and time
+    assert run_cli(["audit", "--ensemble", "gaussian", "--rows", "5", "--cols", "4",
+                    "--bins", "512"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["profile"]["histogram"]) == 512
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

@@ -139,6 +139,14 @@ def test_profile_default_bins_cap():
     assert len(prof.histogram) == 512
 
 
+@pytest.mark.parametrize("bins", [0, 513])
+def test_profile_bins_outside_one_to_cap_raise(bins):
+    s = _one_strip(np.array([0.0, 0.5, 1.0]), (10, 3))
+    with pytest.raises(ValueError, match=r"bins must be in \[1, 512\]"):
+        profile(s, bins=bins)
+    assert len(profile(s, bins=512).histogram) == 512
+
+
 def test_histogram_csv(tmp_path):
     m = generate(EnsembleSpec("gaussian", 30, 20, 3))
     prof = profile(coherence_sample(m), bins=8)

@@ -24,21 +24,29 @@ GOLDEN = {
         "bff6e754508021da907f06708986fe5868586eae7549afb3207110caf4524b92"),
     "audit-partial-fourier": (
         "audit --ensemble partial_fourier --rows 30 --cols 90 --seed 5",
-        "a9d71b72b4801220b1798d68d8693c9716c9bae57d4c164f49de749a64da7b25"),
+        "59fa20ad89d91841d4ed8dbd780796ea011841b60bf60885feec48dc088fc1bf"),
     "verify": (
         "verify --ensemble gaussian --rows 40 --cols 80 --k 4 --trials 600 --seed 6",
         "067560c8c8119d30d6c52eec9dc147bfc15e5686c97164f97a264c8794a944f7"),
     "phase-omp": (
         "phase --ensemble gaussian --rows 40 --cols 100 --solver omp --k-list 2,6,10,14"
         " --trials 12 --seed 7",
-        "273ee2a0921c63359f61b6c66441ae1c04d463563fd3fc62c5dd1fa41e0709eb"),
+        "9507eee18a797c8986432f48dcc4a27654d1e84c7f65b63a7820c15a7a284a05"),
     "phase-bpdn": (
         "phase --ensemble gaussian --rows 30 --cols 60 --solver bpdn --k-list 2,5,8"
         " --trials 4 --seed 8",
         "0ecde92ed199416091fdd643ab458b7da620386cd9fbc429bfc80d0847eb1aaf"),
+    "phase-cosamp-noisy": (
+        "phase --ensemble gaussian --rows 40 --cols 100 --solver cosamp --k-list 2,6,10"
+        " --trials 12 --noise 0.01 --seed 10",
+        "d7bda59f280af39a38a48ebd1165a3dddfa40343c82dd1136405548075573c51"),
     "separate": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --seed 9",
-        "4ab9f2831499387beb80ae03cb0b25d9156135b814f5368f107c54e6b292fc45"),
+        "a9372cccf4afe534ac37a7ef5de0ca5ff715bbb632a35a086748ec3c46c13fb1"),
+    "separate-noisy": (
+        "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --noise 0.01"
+        " --epsilon 0.07 --seed 11",
+        "1a768f9f6b4ec0eeca951365e84f854080dde9a7d64f6ccf29a3f93b73512ef3"),
 }
 
 

@@ -19,7 +19,7 @@ from cohaudit import (
     spectral_deviation,
     tail_check,
 )
-from cohaudit._streams import k_subsets, stream
+from cohaudit._streams import k_subset, k_subsets, stream
 from cohaudit.bounds import energy_deviation_tail, rip_width, spectral_deviation_tail
 from cohaudit.linalg import operator_norm, sym_opnorm
 from cohaudit.ripcheck import BLOCK_TRIALS
@@ -297,6 +297,14 @@ def test_k_subsets_rows_are_sorted_distinct_and_in_range(n, data):
     assert np.all((out >= 0) & (out < n))
     if k == n:
         assert np.all(out == np.arange(n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 200), st.data())
+def test_k_subset_is_the_first_row_of_k_subsets(n, data):
+    k = data.draw(st.integers(0, n))
+    tags = (data.draw(st.integers(0, 1000)), "subset", n)
+    assert np.array_equal(k_subset(stream(*tags), n, k), k_subsets(stream(*tags), n, k, 1)[0])
 
 
 def test_k_subsets_uniform_over_all_subsets():
