@@ -67,6 +67,7 @@ from .separation import (
     separate,
     separation_feasibility,
     separation_trial,
+    separation_trials,
     spikes_fourier_pair,
 )
 from .solvers import (

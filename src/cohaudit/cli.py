@@ -16,7 +16,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from ._streams import substream_seed
 from .bounds import energy_deviation_tail, rip_width, sparsity_bounds, \
     spectral_deviation_tail
 from .coherence import HIST_BIN_CAP, coherence_sample, normality_check, profile
@@ -24,10 +23,9 @@ from .ensembles import ENSEMBLES, EnsembleSpec, generate, load_matrix, \
     normalize_columns
 from .errors import InsufficientDataError
 from .ripcheck import band_frequency, sample_ratios, sample_spectral, tail_check
-from .separation import separation_feasibility, separation_trial, \
-    spikes_fourier_pair
+from .separation import separation_feasibility, separation_trials, spikes_fourier_pair
 from .solvers import SOLVERS, _check_nonnegative, phase_curve
-from .util import canonical_json, parallel_map, write_csv
+from .util import canonical_json, write_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -220,6 +218,10 @@ def run_phase(args, parser):
 def run_separate(args, parser):
     if args.nx < 0 or args.ne < 0:
         parser.error("--nx and --ne must be >= 0")
+    if args.preset and (args.matrix_d or args.matrix_b):
+        parser.error("give either --preset or --matrix-d and --matrix-b, not both")
+    if args.n is not None and not args.preset:
+        parser.error("--n needs --preset")
     _check_nonnegative("noise_sigma", args.noise)
     _check_nonnegative("epsilon", args.epsilon)
     if args.preset:
@@ -237,13 +239,8 @@ def run_separate(args, parser):
         source = {"kind": "files", "matrix_d": args.matrix_d,
                   "matrix_b": args.matrix_b}
     condition = separation_feasibility(left, right, args.nx, args.ne)
-
-    def one(i):
-        return separation_trial(left, right, args.nx, args.ne,
-                                substream_seed(args.seed, "separate-cli", i),
-                                noise_sigma=args.noise, epsilon=args.epsilon)
-
-    trials = parallel_map(one, range(args.trials), args.threads)
+    trials = separation_trials(left, right, args.nx, args.ne, args.trials, args.seed,
+                               args.noise, args.epsilon, args.threads)
     x_errs = [t.x_rel_error for t in trials]
     e_errs = [t.e_rel_error for t in trials]
     report = {

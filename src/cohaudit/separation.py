@@ -18,6 +18,7 @@ from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
 from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
+from .util import parallel_map
 
 
 @dataclass(frozen=True)
@@ -82,38 +83,46 @@ def spikes_fourier_pair(n):
     return spikes, waves
 
 
-def _planted_trial(left, right, x, e, seed, noise_tag, noise_sigma, epsilon):
-    """Mix the planted pair (x, e), add noise, separate and score."""
-    clean = left.data @ x + (right.data @ e if right.cols else 0.0)
-    x_hat, e_hat, res = separate(left, right, _observe(clean, noise_sigma, seed, noise_tag),
-                                 epsilon)
-    x_rel, x_est, x_true = _score(x_hat, x, noise_sigma)
-    e_rel, e_est, e_true = _score(e_hat, e, noise_sigma)
-    return SeparationTrial(
-        x_rel_error=x_rel,
-        e_rel_error=e_rel,
-        x_support_ok=x_est == x_true,
-        e_support_ok=e_est == e_true,
-        residual_norm=res.residual_norm,
-        converged=res.converged,
-    )
+def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, epsilon,
+                    threads=1, e_scale=1.0):
+    """Plant trials from the x, e and noise streams named by tags; solve all on one joint."""
+    joint = joint_dictionary(left, right)
+    if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
+        raise DomainError(f"n_x={n_x}, n_e={n_e} do not fit {left.cols} and {right.cols} columns")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    zs = np.vstack([_plant(seed, tags[0], n_x, left.cols, trials),
+                    e_scale * _plant(seed, tags[1], n_e, right.cols, trials)])
+    # one product per trial, so trial i's bits do not depend on the block's width
+    ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed, tags[2])
+
+    def one(i):
+        res = bpdn(joint, ys[:, i], epsilon)
+        x_rel, x_est, x_true = _score(res.estimate[:left.cols], zs[:left.cols, i], noise_sigma)
+        e_rel, e_est, e_true = _score(res.estimate[left.cols:], zs[left.cols:, i], noise_sigma)
+        return SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
+                               res.residual_norm, res.converged)
+
+    return parallel_map(one, range(trials), threads)
+
+
+def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, epsilon=1e-6,
+                      threads=1):
+    """Planted separation experiments 0 to trials - 1 at seed.
+
+    Each draws n_x atoms of left and n_e of right with Gaussian values,
+    mixes, optionally adds noise, separates on [left right], and scores
+    both components.  Trial i is row i of one block of keyed draws, so
+    a shorter run is a prefix of a longer one at any thread count.
+    """
+    return _planted_trials(left, right, n_x, n_e, trials, seed,
+                           ("separation-x", "separation-e", "separation-noise"),
+                           noise_sigma, epsilon, threads)
 
 
 def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0, epsilon=1e-6):
-    """One planted separation experiment.
-
-    Draws n_x atoms from the left dictionary and n_e from the right with
-    Gaussian coefficients, mixes, optionally adds noise, separates, and
-    reports per-component relative errors and support agreement.
-    """
-    if left.rows != right.rows:
-        raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
-    if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
-        raise DomainError(f"need 0 <= n_x <= {left.cols} and 0 <= n_e <= "
-                          f"{right.cols}, got {n_x}, {n_e}")
-    x = _plant(seed, "separation-x", n_x, left.cols, 1)[:, 0]
-    e = _plant(seed, "separation-e", n_e, right.cols, 1)[:, 0]
-    return _planted_trial(left, right, x, e, seed, "separation-noise", noise_sigma, epsilon)
+    """Trial 0 of separation_trials at seed: one planted separation experiment."""
+    return separation_trials(left, right, n_x, n_e, 1, seed, noise_sigma, epsilon)[0]
 
 
 def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
@@ -127,12 +136,9 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
     n = matrix.rows
     if not 0 <= n_corruptions <= n:
         raise DimensionError(f"need 0 <= n_corruptions <= {n}, got {n_corruptions}")
-    if not 0 <= k <= matrix.cols:
-        raise DomainError(f"need 0 <= k <= {matrix.cols}, got {k}")
-    x = _plant(seed, "robust-signal", k, matrix.cols, 1)[:, 0]
-    e = 10.0 * _plant(seed, "robust-corruption", n_corruptions, n, 1)[:, 0]
-    return _planted_trial(matrix, MeasurementMatrix(np.eye(n)), x, e, seed, "robust-noise",
-                          noise_sigma, _bpdn_epsilon(noise_sigma, n))
+    return _planted_trials(matrix, MeasurementMatrix(np.eye(n)), k, n_corruptions, 1, seed,
+                           ("robust-signal", "robust-corruption", "robust-noise"),
+                           noise_sigma, _bpdn_epsilon(noise_sigma, n), e_scale=10.0)[0]
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):

@@ -504,14 +504,14 @@ def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
     return out
 
 
-def recovery_trial(matrix, k, solver, noise_sigma, seed, solver_options=None):
+def recovery_trial(matrix, k, solver, noise_sigma, seed):
     """Trial 0 of phase_curve's block for k at seed: one planted recovery experiment.
 
     Noiseless success means relative l2 error <= 1e-4; noisy success
     means the estimated support (entries above 10 * noise_sigma) matches
     the true support exactly.
     """
-    return _trials(_Operand(matrix), k, solver, noise_sigma, seed, 1, solver_options)[0]
+    return _trials(_Operand(matrix), k, solver, noise_sigma, seed, 1)[0]
 
 
 def wilson_interval(successes, trials):

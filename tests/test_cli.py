@@ -284,6 +284,14 @@ def test_source_flag_conflicts(tmp_path, capsys):
                     "--rows", "4", "--cols", "4"]) == 2
     assert run_cli(["audit"]) == 2
     assert run_cli(["audit", "--ensemble", "gaussian", "--rows", "4"]) == 2
+    separate = ["separate", "--nx", "1", "--ne", "1", "--trials", "1"]
+    missing = str(tmp_path / "missing.csv")
+    assert run_cli(separate + ["--preset", "spikes-fourier", "--n", "8",
+                               "--matrix-d", missing, "--matrix-b", missing]) == 2
+    assert run_cli(separate + ["--preset", "spikes-fourier", "--n", "8",
+                               "--matrix-b", str(path)]) == 2
+    assert run_cli(separate + ["--n", "4", "--matrix-d", str(path),
+                               "--matrix-b", str(path)]) == 2
     capsys.readouterr()
 
 

@@ -62,3 +62,48 @@ def test_only_streams_draws_random_numbers(path):
     # every draw comes from a keyed stream(seed, *tags), so reports are
     # byte-deterministic at any thread count and call order
     assert random_references(path.read_text()) == []
+
+
+# Where each keyed-stream call takes its first purpose tag.  The
+# separation harness takes the x, e and noise purposes as one tuple.
+TAG_POSITION = {"stream": 1, "_block_draws": 1, "_plant": 1, "_observe": 3,
+                "_planted_trials": 6}
+
+
+def purpose_tags(source):
+    """Sorted (line, tag) for each string literal passed as a first purpose tag."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        pos = TAG_POSITION.get(name)
+        if pos is None or len(node.args) <= pos:
+            continue
+        arg = node.args[pos]
+        for tag in arg.elts if isinstance(arg, ast.Tuple) else [arg]:
+            if isinstance(tag, ast.Constant) and isinstance(tag.value, str):
+                found.append((node.lineno, tag.value))
+    return sorted(found)
+
+
+def test_purpose_tags_are_found():
+    source = ('stream(seed, "a", 1)\nrng = _streams.stream(seed, name, 2)\n'
+              'x = _plant(seed, "b", k, n, t)\ny = _observe(x, 0.1, seed, "c", k)\n'
+              '_block_draws(seed, "d", k, n, j, m)\nstream(seed, 3)\n'
+              '_planted_trials(d, b, 1, 1, t, seed, ("e", "f", tag), 0.0, 0.0)\n'
+              'bpdn(d, "g", 0.0)\n')
+    assert purpose_tags(source) == [(1, "a"), (3, "b"), (4, "c"), (5, "d"), (7, "e"),
+                                    (7, "f")]
+
+
+def test_each_purpose_tag_keys_one_call_site():
+    # two experiments that share a purpose tag would draw the same keyed
+    # stream, so their trials would be correlated by accident
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, tag in purpose_tags(path.read_text()):
+            sites.setdefault(tag, []).append(f"{path.name}:{line}")
+    assert {tag: where for tag, where in sites.items() if len(where) > 1} == {}
+    assert {"ratio", "spectral", "signal", "noise", "separation-x",
+            "robust-noise", "joint-rip-e"} <= set(sites)

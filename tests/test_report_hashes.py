@@ -42,11 +42,11 @@ GOLDEN = {
         "d7bda59f280af39a38a48ebd1165a3dddfa40343c82dd1136405548075573c51"),
     "separate": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --seed 9",
-        "a9372cccf4afe534ac37a7ef5de0ca5ff715bbb632a35a086748ec3c46c13fb1"),
+        "fb71a8e357d2939886044498b8e9ef0c41e8ed433f9846cc6f9348dc5ec16dd0"),
     "separate-noisy": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --noise 0.01"
         " --epsilon 0.07 --seed 11",
-        "1a768f9f6b4ec0eeca951365e84f854080dde9a7d64f6ccf29a3f93b73512ef3"),
+        "363671e83cc82dea0149328510ee728fad4f1991df40086722846f40fb11bfcc"),
 }
 
 

@@ -13,10 +13,13 @@ from cohaudit import (
     joint_rip_check,
     robust_recovery_trial,
     separate,
+    separation,
     separation_feasibility,
     separation_trial,
+    separation_trials,
     spikes_fourier_pair,
 )
+from cohaudit.cli import main
 
 
 def test_joint_dictionary_layout():
@@ -108,6 +111,64 @@ def test_separation_trial_deterministic():
     c = separation_trial(d, b, 3, 3, 42)
     assert a.x_rel_error == c.x_rel_error
     assert a.e_rel_error == c.e_rel_error
+
+
+NOISE_CASES = [(0.0, 1e-6), (0.01, 0.07)]
+
+
+@pytest.mark.parametrize("noise, epsilon", NOISE_CASES)
+def test_separation_trials_are_prefixes_of_longer_runs(noise, epsilon):
+    # trial i depends only on (seed, n_x, n_e, i): 8 trials are the first 8
+    # of 16 in every field, bit for bit (repr tells every float apart)
+    d, b = spikes_fourier_pair(32)
+    short = separation_trials(d, b, 2, 3, 8, 13, noise, epsilon)
+    long = separation_trials(d, b, 2, 3, 16, 13, noise, epsilon)
+    assert [repr(t) for t in short] == [repr(t) for t in long[:8]]
+
+
+@pytest.mark.parametrize("noise, epsilon", NOISE_CASES)
+def test_separation_trial_is_trial_zero(noise, epsilon):
+    d, b = spikes_fourier_pair(32)
+    for seed in range(4):
+        assert repr(separation_trial(d, b, 2, 3, seed, noise, epsilon)) == \
+            repr(separation_trials(d, b, 2, 3, 6, seed, noise, epsilon)[0])
+
+
+def test_separation_trials_validate_counts():
+    d, b = spikes_fourier_pair(8)
+    with pytest.raises(DomainError):
+        separation_trials(d, b, 1, 1, 0, 0)
+    with pytest.raises(DomainError):
+        separation_trials(d, b, 9, 1, 2, 0)
+    with pytest.raises(DimensionError):
+        separation_trials(d, MeasurementMatrix(np.eye(4)), 1, 1, 2, 0)
+
+
+def test_separate_builds_the_joint_once_per_run(monkeypatch, capsys):
+    calls = []
+
+    def counted(left, right):
+        calls.append((left.cols, right.cols))
+        return joint_dictionary(left, right)
+
+    monkeypatch.setattr(separation, "joint_dictionary", counted)
+    assert main(["separate", "--preset", "spikes-fourier", "--n", "16", "--nx", "1",
+                 "--ne", "1", "--trials", "7", "--threads", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [(16, 16)]
+
+
+def test_separate_csv_rows_are_separation_trials(tmp_path, capsys):
+    csv = tmp_path / "sep.csv"
+    assert main(["separate", "--preset", "spikes-fourier", "--n", "32", "--nx", "2",
+                 "--ne", "3", "--trials", "5", "--noise", "0.01", "--epsilon", "0.07",
+                 "--seed", "4", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    trials = separation_trials(*spikes_fourier_pair(32), 2, 3, 5, 4, 0.01, 0.07)
+    rows = ["%d,%.12g,%.12g,%d,%d,%d" % (i, t.x_rel_error, t.e_rel_error, t.x_support_ok,
+                                          t.e_support_ok, t.converged)
+            for i, t in enumerate(trials)]
+    assert csv.read_text().splitlines()[1:] == rows
 
 
 def test_separation_feasibility_spikes_fourier():

@@ -148,8 +148,7 @@ def test_iht_residual_never_grows(dictionary, seed, k):
 def test_iht_recovery_rate(gauss_200x400):
     hits = 0
     for t in range(50):
-        tr = recovery_trial(gauss_200x400, 8, "iht", 0.0, 7000 + t,
-                            solver_options={"max_iter": 500, "tol": 1e-12})
+        tr = recovery_trial(gauss_200x400, 8, "iht", 0.0, 7000 + t)
         hits += tr.rel_error <= 1e-6
     assert hits >= 45
 
