@@ -223,7 +223,6 @@ def run_separate(args, parser):
     if args.n is not None and not args.preset:
         parser.error("--n needs --preset")
     _check_nonnegative("noise_sigma", args.noise)
-    _check_nonnegative("epsilon", args.epsilon)
     if args.preset:
         if args.n is None:
             parser.error("--preset needs --n")
@@ -240,7 +239,7 @@ def run_separate(args, parser):
                   "matrix_b": args.matrix_b}
     condition = separation_feasibility(left, right, args.nx, args.ne)
     trials = separation_trials(left, right, args.nx, args.ne, args.trials, args.seed,
-                               args.noise, args.epsilon, args.threads)
+                               args.noise, threads=args.threads)
     x_errs = [t.x_rel_error for t in trials]
     e_errs = [t.e_rel_error for t in trials]
     report = {
@@ -249,7 +248,6 @@ def run_separate(args, parser):
         "n_x": args.nx,
         "n_e": args.ne,
         "trials": args.trials,
-        "epsilon": args.epsilon,
         "noise_sigma": args.noise,
         "condition": asdict(condition),
         "x_rel_error_mean": sum(x_errs) / len(x_errs),
@@ -330,8 +328,6 @@ def build_parser():
     p_sep.add_argument("--ne", type=int, required=True, help="disturbance sparsity")
     p_sep.add_argument("--trials", type=_positive_int, default=50)
     p_sep.add_argument("--noise", type=float, default=0.0)
-    p_sep.add_argument("--epsilon", type=float, default=1e-6,
-                       help="residual budget for the joint solve")
     p_sep.add_argument("--csv", help="also write per-trial errors as CSV")
     p_sep.set_defaults(func=run_separate)
     for sub in (p_verify, p_phase, p_sep):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
-from .ensembles import MeasurementMatrix, normalize_columns, real_fourier_frame
+from .ensembles import MeasurementMatrix, _adopt, normalize_columns, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
 from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
@@ -44,7 +44,7 @@ def joint_dictionary(left, right):
     """Column-stack two dictionaries into one."""
     if left.rows != right.rows:
         raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
-    return MeasurementMatrix(np.hstack([left.data, right.data]))
+    return _adopt(object.__new__(MeasurementMatrix), np.hstack([left.data, right.data]))
 
 
 def measured_spreads(left, right):
@@ -78,13 +78,13 @@ def separate(left, right, y, epsilon):
 
 def spikes_fourier_pair(n):
     """The canonical separation pair: identity spikes and harmonic waves."""
-    spikes = MeasurementMatrix(np.eye(n))
-    waves = normalize_columns(MeasurementMatrix(real_fourier_frame(n)))
+    spikes = _adopt(object.__new__(MeasurementMatrix), np.eye(n))
+    waves = normalize_columns(_adopt(object.__new__(MeasurementMatrix), real_fourier_frame(n)))
     return spikes, waves
 
 
-def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, epsilon,
-                    threads=1, e_scale=1.0):
+def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, *, threads=1,
+                    e_scale=1.0):
     """Plant trials from the x, e and noise streams named by tags; solve all on one joint."""
     joint = joint_dictionary(left, right)
     if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
@@ -97,7 +97,7 @@ def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, epsi
     ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed, tags[2])
 
     def one(i):
-        res = bpdn(joint, ys[:, i], epsilon)
+        res = bpdn(joint, ys[:, i], _bpdn_epsilon(noise_sigma, left.rows))
         x_rel, x_est, x_true = _score(res.estimate[:left.cols], zs[:left.cols, i], noise_sigma)
         e_rel, e_est, e_true = _score(res.estimate[left.cols:], zs[left.cols:, i], noise_sigma)
         return SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
@@ -106,23 +106,23 @@ def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, epsi
     return parallel_map(one, range(trials), threads)
 
 
-def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, epsilon=1e-6,
-                      threads=1):
+def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, threads=1):
     """Planted separation experiments 0 to trials - 1 at seed.
 
     Each draws n_x atoms of left and n_e of right with Gaussian values,
-    mixes, optionally adds noise, separates on [left right], and scores
-    both components.  Trial i is row i of one block of keyed draws, so
-    a shorter run is a prefix of a longer one at any thread count.
+    mixes, optionally adds noise, separates on [left right] at phase's
+    bpdn budget, and scores both components.  Trial i is row i of one
+    block of keyed draws, so a shorter run is a prefix of a longer one at
+    any thread count.
     """
     return _planted_trials(left, right, n_x, n_e, trials, seed,
                            ("separation-x", "separation-e", "separation-noise"),
-                           noise_sigma, epsilon, threads)
+                           noise_sigma, threads=threads)
 
 
-def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0, epsilon=1e-6):
+def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0):
     """Trial 0 of separation_trials at seed: one planted separation experiment."""
-    return separation_trials(left, right, n_x, n_e, 1, seed, noise_sigma, epsilon)[0]
+    return separation_trials(left, right, n_x, n_e, 1, seed, noise_sigma)[0]
 
 
 def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
@@ -138,7 +138,7 @@ def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
         raise DimensionError(f"need 0 <= n_corruptions <= {n}, got {n_corruptions}")
     return _planted_trials(matrix, MeasurementMatrix(np.eye(n)), k, n_corruptions, 1, seed,
                            ("robust-signal", "robust-corruption", "robust-noise"),
-                           noise_sigma, _bpdn_epsilon(noise_sigma, n), e_scale=10.0)[0]
+                           noise_sigma, e_scale=10.0)[0]
 
 
 def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):

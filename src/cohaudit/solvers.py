@@ -483,12 +483,11 @@ def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
     _check_k(k, solver, rows, cols)
     truths = _plant(seed, "signal", k, cols, trials)
     ys = _observe(op.data @ truths, noise_sigma, seed, "noise", k)
-    opts = dict(options or {})
     if solver == "bpdn":
-        opts.setdefault("epsilon", _bpdn_epsilon(noise_sigma, rows))
-        solved = [bpdn(op.data, y, **opts) for y in ys.T]
+        solved = [bpdn(op.data, y, _bpdn_epsilon(noise_sigma, rows)) for y in ys.T]
     else:
-        solved = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver](op, ys, k, **opts)
+        kernel = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver]
+        solved = kernel(op, ys, k, **(options or {}))
     out = []
     for x, res in zip(truths.T, solved):
         rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
@@ -505,11 +504,12 @@ def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
 
 
 def recovery_trial(matrix, k, solver, noise_sigma, seed):
-    """Trial 0 of phase_curve's block for k at seed: one planted recovery experiment.
+    """One planted recovery experiment, drawn bit for bit as phase_curve's trial 0 for k.
 
-    Noiseless success means relative l2 error <= 1e-4; noisy success
-    means the estimated support (entries above 10 * noise_sigma) matches
-    the true support exactly.
+    Its floats, and at knife edges its outcome, may differ in the last bits
+    from the block's, which one product mixes.  Noiseless success means
+    relative l2 error <= 1e-4; noisy success means the estimated support
+    (entries above 10 * noise_sigma) matches the true support exactly.
     """
     return _trials(_Operand(matrix), k, solver, noise_sigma, seed, 1)[0]
 

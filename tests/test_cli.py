@@ -1,8 +1,10 @@
+import argparse
 import importlib.metadata
 import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from cohaudit.cli import main
 from cohaudit.solvers import SOLVERS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def run_cli(argv):
@@ -340,8 +343,7 @@ def test_separate_sparsity_past_dictionary_is_data_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--epsilon", "nan"),
-                                        ("--noise", "inf"), ("--epsilon", "inf")])
+@pytest.mark.parametrize("flag,value", [("--noise", "-1"), ("--noise", "inf")])
 def test_separate_bad_noise_or_epsilon_is_data_error(flag, value, capsys):
     code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1",
                     "--ne", "1", "--trials", "2", flag, value])
@@ -406,6 +408,17 @@ def test_phase_fresh_matrix_flag_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_separate_epsilon_flag_is_a_usage_error(monkeypatch, capsys):
+    # separate's residual budget follows --noise, as phase's does
+    monkeypatch.setattr(cli, "separation_trials", unreachable("a trial"))
+    code = run_cli(["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1",
+                    "--ne", "1", "--noise", "0.01", "--epsilon", "0.1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --epsilon" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30", "--k-list", "2",
      "--solver", "omp", "--noise", "-1"],
@@ -414,17 +427,16 @@ def test_phase_fresh_matrix_flag_is_a_usage_error(monkeypatch, capsys):
     ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
      "--noise", "-1"],
     ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
-     "--epsilon", "nan"],
+     "--noise", "nan"],
     ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
-     "--epsilon", "-1"],
+     "--noise", "inf"],
 ])
 def test_bad_noise_fails_before_any_work(monkeypatch, capsys, argv):
     for name in ("generate", "spikes_fourier_pair", "separation_feasibility"):
         monkeypatch.setattr(cli, name, unreachable(name))
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
-    name = {"--noise": "noise_sigma", "--epsilon": "epsilon"}[argv[-2]]
-    assert err == f"error: {name} must be finite and >= 0, got {float(argv[-1])}\n"
+    assert err == f"error: noise_sigma must be finite and >= 0, got {float(argv[-1])}\n"
 
 
 FUZZ_VALUES = st.sampled_from(["-1", "0", "0.01", "nan", "inf"])
@@ -441,8 +453,7 @@ def cli_argv(draw):
         k = st.integers(-1, n + 2)
         return ["separate", "--preset", "spikes-fourier", "--n", str(n),
                 "--nx", str(draw(k)), "--ne", str(draw(k)), "--trials", trials,
-                "--noise", draw(FUZZ_VALUES), "--epsilon", draw(FUZZ_VALUES),
-                "--seed", seed]
+                "--noise", draw(FUZZ_VALUES), "--seed", seed]
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     argv = [command, "--ensemble", draw(st.sampled_from(ENSEMBLES)), "--rows", str(rows),
             "--cols", str(cols), "--seed", seed]
@@ -593,7 +604,7 @@ def test_csv_dumps_agree_with_reports(tmp_path):
     assert rows == [[p[name] for name in header] for p in rep["points"]]
 
     rep = report("separate", "--preset", "spikes-fourier", "--n", "32", "--nx", "2",
-                 "--ne", "3", "--trials", "4", "--noise", "0.01", "--epsilon", "0.1",
+                 "--ne", "3", "--trials", "4", "--noise", "0.01",
                  "--csv", str(csv))
     header, rows = read_csv(csv)
     cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
@@ -669,3 +680,27 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["command"] == "audit"
+
+
+def test_readme_cli_section_names_real_commands_and_flags():
+    """README from ``## CLI`` on: its commands parse and its backticked flags exist."""
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    parser = cli.build_parser()
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    commands = [line.split()[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cohaudit ")]
+    assert commands
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: cohaudit {' '.join(argv)}")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sub in subs.choices.values() for action in sub._actions
+             for flag in action.option_strings}
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = {flag for span in re.findall(r"`([^`]+)`", prose)
+             for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    assert named and named <= known, sorted(named - known)

@@ -42,11 +42,11 @@ GOLDEN = {
         "d7bda59f280af39a38a48ebd1165a3dddfa40343c82dd1136405548075573c51"),
     "separate": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --seed 9",
-        "fb71a8e357d2939886044498b8e9ef0c41e8ed433f9846cc6f9348dc5ec16dd0"),
+        "2f63d5e5d3c30eab5dd53c8cea2877f83fc939d9badf448f71ac39a77c5051c5"),
     "separate-noisy": (
         "separate --preset spikes-fourier --n 32 --nx 2 --ne 2 --trials 10 --noise 0.01"
-        " --epsilon 0.07 --seed 11",
-        "363671e83cc82dea0149328510ee728fad4f1991df40086722846f40fb11bfcc"),
+        " --seed 11",
+        "1be0266a55fd6dbe3c23b2571631934ecbb83ad1c7b66c97571cc1ffdf9dd05c"),
 }
 
 
