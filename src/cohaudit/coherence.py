@@ -30,34 +30,75 @@ class _Stats(namedtuple("_Stats", "lo hi mean m2 m4 counts")):  # counts None wi
 
 
 def _strip_stats(strips, count, bins=None):
-    """_Stats of the values strips() yields, holding one strip at a time.
+    """_Stats of the pairs in the Gram strips strips() yields, holding one strip at a time.
 
+    strips() yields (g, upper): a new strip g, which this overwrites, whose
+    pairs are every entry, or with upper only the entries g[i, j], j > i.
     Pass 1 sums and takes extremes; pass 2 the central sums and histogram.
     The element expressions are the whole-array ones: one strip, same bits.
     """
     # map, unlike a for loop, keeps no strip alive while the next is made
-    sums, los, his = np.array([*map(lambda v: (np.sum(v), np.min(v), np.max(v)), strips())]).T
-    mean, lo, hi = float(np.sum(sums)) / count, float(np.min(los)), float(np.max(his))
-    s2 = s4 = 0.0
+    sums, los, his = zip(*map(_first_pass, strips()))
+    mean = float(np.sum([s for strip_sums in sums for s in strip_sums])) / count
+    lo, hi = float(np.min(los)), float(np.max(his))
     counts = None if bins is None else np.zeros(bins, dtype=np.int64)
     if counts is not None and not hi > lo:
         counts[-1] = count  # all values equal: the one point sits in the last bin
-    for v in strips():
+
+    def second_pass(strip):
+        parts, excluded = _pairs_in_place(*strip, lo)
         if counts is not None and hi > lo:
-            counts += np.histogram(v, bins=bins, range=(lo, hi))[0]
-        v = (v - mean) ** 2  # squared again below: v ** 4 would call libm pow per element
-        s2 += float(np.sum(v))
-        s4 += float(np.sum(v * v))
-        del v
+            counts[:] += np.histogram(strip[0], bins=bins, range=(lo, hi))[0]
+            counts[0] -= excluded  # the non-pairs, all set to lo
+        return [_central_sums(v, mean) for v in parts]
+
+    s2 = s4 = 0.0
+    for strip_sums in map(second_pass, strips()):
+        for a, b in strip_sums:
+            s2 += a
+            s4 += b
     return _Stats(lo, hi, mean, s2 / count, s4 / count, counts)
+
+
+def _first_pass(strip):
+    """Sums of a strip's pair parts, and its extremes with the non-pairs set to a pair."""
+    parts, _ = _pairs_in_place(*strip)
+    return [np.sum(v) for v in parts], np.min(strip[0]), np.max(strip[0])
+
+
+def _pairs_in_place(g, upper, fill=None):
+    """The parts of strip g that hold its pairs, and how many entries are not pairs.
+
+    Without upper the one part is g.  With upper the first part is a flat
+    copy of the pairs in g's first rows + 1 columns (on the strip of the
+    last rows: every pair, in order), the second a view of the columns to
+    their right, and the entries on and below the diagonal are overwritten
+    with fill (default: a pair), so extremes and histogram can read all of
+    g where it lies.
+    """
+    c = min(g.shape[0] + 1, g.shape[1]) if upper else 0
+    keep = np.arange(c) > np.arange(g.shape[0])[:, None]
+    tri = g[:, :c][keep]
+    if c:
+        g[:, :c][np.invert(keep, out=keep)] = tri[0] if fill is None else fill
+    return [v for v in (tri, g[:, c:]) if v.size], keep.size - tri.size
+
+
+def _central_sums(v, mean):
+    """Sums of (v - mean)^2 and (v - mean)^4, squaring v where it lies (no libm pow)."""
+    v -= mean
+    v *= v
+    s2 = float(np.sum(v))
+    v *= v
+    return s2, float(np.sum(v))
 
 
 class CoherenceSample:
     """All pairwise inner products <d_i, d_j>, i < j, lexicographic order.
 
     A sample keeps the matrix, not the N(N-1)/2 pairs: strips() yields
-    them one strip of Gram rows at a time, count is their number, and
-    `values` materialises them.
+    them one strip of Gram rows at a time, as (strip, upper) for
+    _strip_stats, count is their number, and `values` materialises them.
     """
 
     def __init__(self, strips, count, source_dims):
@@ -70,7 +111,9 @@ class CoherenceSample:
     @property
     def values(self):
         """Every pair, as one read-only array."""
-        v = np.concatenate([np.zeros(0), *self._strips()])
+        v = np.concatenate([np.zeros(0), *(
+            g[np.arange(g.shape[1]) > np.arange(g.shape[0])[:, None]] if upper else g.ravel()
+            for g, upper in self._strips())])
         v.flags.writeable = False
         return v
 
@@ -133,10 +176,10 @@ def coherence_sample(matrix, block_cols=None):
     require_normalized(matrix)
     data, N = matrix.data, matrix.cols
     w = block_cols or max(1, _STRIP_BUDGET // max(N, 1))
-    # Gram rows a..a+w-1 from column a on, keeping column > row (row N-1 has none)
-    return CoherenceSample(lambda: (
-        (data[:, a:a + w].T @ data[:, a:])[np.arange(N - a) > np.arange(min(w, N - a))[:, None]]
-        for a in range(0, N - 1, w)), N * (N - 1) // 2, data.shape)
+    # Gram rows a..a+w-1 from column a on, whose pairs lie right of the diagonal
+    # (row N-1 has none)
+    return CoherenceSample(lambda: ((data[:, a:a + w].T @ data[:, a:], True)
+                                    for a in range(0, N - 1, w)), N * (N - 1) // 2, data.shape)
 
 
 def profile(sample, bins=None):
@@ -199,7 +242,7 @@ def cross_coherence(left, right, block_cols=None):
     if total == 0:
         return CrossCoherenceProfile(max_cross=0.0, std=0.0, mean=0.0, sample_count=0)
     w = block_cols or max(1, _STRIP_BUDGET // right.cols)
-    st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data).ravel()
+    st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data, False)
                                for a in range(0, left.cols, w)), total)
     return CrossCoherenceProfile(max_cross=st.mutual_coherence, std=st.std, mean=st.mean,
                                  sample_count=total)

@@ -23,6 +23,10 @@ _MAGIC = b"CAMX"
 # makes normalize_columns exactly idempotent in floating point.
 _NORM_SKIP = 8 * np.finfo(np.float64).eps
 
+# Column norms square a block of columns at a time: at most a sixteenth of
+# the matrix and at most this many entries (4 MB of float64).
+_NORM_BLOCK = 2**19
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -63,7 +67,26 @@ class MeasurementMatrix:
         return self.data.shape[1]
 
     def column_norms(self):
-        return np.linalg.norm(self.data, axis=0)
+        return _column_norms(self.data)
+
+
+def _column_norms(data):
+    """np.linalg.norm(data, axis=0), squaring a block of columns at a time.
+
+    Each column's squares are still summed row after row, so the bits are
+    the same; a block of one column would be summed pairwise, so every
+    block but that of a one-column matrix has two or more.
+    """
+    rows, cols = data.shape
+    step = max(2, min(cols // 16, _NORM_BLOCK // rows))
+    ends = [*range(0, max(cols - 1, 1), step), cols]
+    norms = np.empty(cols)
+    for a, z in zip(ends, ends[1:]):
+        sq = data[:, a:z].copy()  # contiguous: squaring a strided view allocates buffers
+        sq *= sq
+        np.sqrt(np.add.reduce(sq, axis=0), out=norms[a:z])
+        del sq  # else the next block is copied beside it
+    return norms
 
 
 def _adopt(matrix, arr):
@@ -96,11 +119,16 @@ def real_fourier_frame(n):
 def _fourier_rows(n, picked):
     """Rows picked of real_fourier_frame(n), without building the other rows."""
     t = np.arange(n)
-    # row 2f - 1 is the cosine and row 2f the sine at frequency f
-    rows = 2.0 * np.pi * ((picked + 1) // 2)[:, None] * t / n
-    odd = picked % 2 == 1
-    rows[odd] = np.cos(rows[odd])
-    rows[~odd] = np.sin(rows[~odd])
+    # row 2f - 1 is the cosine and row 2f the sine at frequency f, at angles
+    # 2 pi f t / n, filled in place: the broadcast product of the two vectors
+    # would allocate iterator buffers for both
+    rows = np.empty((len(picked), n))
+    rows[:] = t
+    rows *= 2.0 * np.pi * ((picked + 1) // 2)[:, None]
+    rows /= n
+    odd = (picked % 2 == 1)[:, None]
+    np.cos(rows, out=rows, where=odd)
+    np.sin(rows, out=rows, where=~odd)
     rows *= np.sqrt(2.0 / n)
     rows[picked == 0] = 1.0 / np.sqrt(n)
     if n % 2 == 0:
@@ -115,19 +143,45 @@ def generate_raw(spec):
     and partial_fourier is a random row subset of the real harmonic
     frame, so raw columns are already unit norm up to rounding.
     """
+    return _adopt(object.__new__(MeasurementMatrix), _draw(spec))
+
+
+def _draw(spec):
+    """generate_raw's array, new and writable, built in place at one matrix of memory."""
     rng = stream(spec.seed, spec.ensemble, spec.rows, spec.cols)
+    if spec.ensemble == "partial_fourier":
+        return _fourier_rows(spec.cols, k_subset(rng, spec.cols, spec.rows))
     if spec.ensemble == "gaussian":
-        raw = rng.standard_normal((spec.rows, spec.cols)) / np.sqrt(spec.rows)
-    elif spec.ensemble == "bernoulli":
-        raw = (2.0 * rng.integers(0, 2, size=(spec.rows, spec.cols)) - 1.0) / np.sqrt(spec.rows)
+        raw = rng.standard_normal((spec.rows, spec.cols))
     else:
-        raw = _fourier_rows(spec.cols, k_subset(rng, spec.cols, spec.rows))
-    return _adopt(object.__new__(MeasurementMatrix), raw)
+        raw = np.multiply(rng.integers(0, 2, size=(spec.rows, spec.cols)), 2.0)
+        raw -= 1.0
+    raw /= np.sqrt(spec.rows)
+    return raw
 
 
 def generate(spec):
     """Draw a matrix from the ensemble and normalize its columns."""
-    return normalize_columns(generate_raw(spec))
+    return _adopt(object.__new__(MeasurementMatrix), _normalize_in_place(_draw(spec)))
+
+
+def _unit_factors(data):
+    """Per-column factors 1 / norm, 1 where the norm is already unit; None if all are 1."""
+    norms = _column_norms(data)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateColumnError(zero[0])
+    factors = 1.0 / norms
+    factors[np.abs(norms - 1.0) <= _NORM_SKIP] = 1.0
+    return None if np.all(factors == 1.0) else factors
+
+
+def _normalize_in_place(data):
+    """normalize_columns on a new, writable array: scaled where it lies, and returned."""
+    factors = _unit_factors(data)
+    if factors is not None:
+        data *= factors
+    return data
 
 
 def normalize_columns(matrix):
@@ -136,13 +190,8 @@ def normalize_columns(matrix):
     Columns already within a few ulps of unit norm are left bit-exact, so
     applying this twice returns the first result unchanged.
     """
-    norms = matrix.column_norms()
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(zero[0])
-    factors = 1.0 / norms
-    factors[np.abs(norms - 1.0) <= _NORM_SKIP] = 1.0
-    if np.all(factors == 1.0):
+    factors = _unit_factors(matrix.data)
+    if factors is None:
         return matrix
     return _adopt(object.__new__(MeasurementMatrix), matrix.data * factors)
 

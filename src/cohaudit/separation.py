@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
-from .ensembles import MeasurementMatrix, _adopt, normalize_columns, real_fourier_frame
+from .ensembles import MeasurementMatrix, _adopt, _normalize_in_place, real_fourier_frame
 from .errors import DimensionError, DomainError
 from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
 from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
@@ -79,7 +79,7 @@ def separate(left, right, y, epsilon):
 def spikes_fourier_pair(n):
     """The canonical separation pair: identity spikes and harmonic waves."""
     spikes = _adopt(object.__new__(MeasurementMatrix), np.eye(n))
-    waves = normalize_columns(_adopt(object.__new__(MeasurementMatrix), real_fourier_frame(n)))
+    waves = _adopt(object.__new__(MeasurementMatrix), _normalize_in_place(real_fourier_frame(n)))
     return spikes, waves
 
 

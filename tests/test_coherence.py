@@ -20,13 +20,15 @@ from cohaudit import (
     normalize_columns,
     profile,
 )
+from cohaudit.coherence import _STRIP_BUDGET
 from cohaudit.util import write_csv
 
 
 def _one_strip(values, source_dims):
     """A sample whose pairs are the given values, read as a single strip."""
     v = np.asarray(values, dtype=np.float64)
-    return CoherenceSample(lambda: iter((v,)), v.size, source_dims)
+    # a new strip per pass: _strip_stats overwrites the strips it reads
+    return CoherenceSample(lambda: iter(((v[None, :].copy(), False),)), v.size, source_dims)
 
 
 def test_sample_small_oracle():
@@ -322,3 +324,41 @@ def test_statistics_memory_below_half_the_pair_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * s.count / 2
+
+
+def test_statistics_memory_within_one_gram_strip():
+    # eighteen strips of 349 Gram rows, each read where the product leaves it
+    m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
+    strip_bytes = 8 * (_STRIP_BUDGET // m.cols) * m.cols
+    tracemalloc.start()
+    try:
+        s = coherence_sample(m)
+        profile(s)
+        normality_check(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * strip_bytes
+
+
+def _obtuse_simplex(rows):
+    """rows + 1 unit columns, every pair near -1/rows: a perturbed regular simplex."""
+    n = rows + 1
+    centred = np.eye(n) - 1.0 / n  # columns e_i minus their centroid span rows dimensions
+    basis = np.linalg.svd(centred)[0][:, :rows]
+    noise = 1e-3 * np.random.default_rng(7).standard_normal((rows, n))
+    return normalize_columns(MeasurementMatrix(basis.T @ centred + noise))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 30, None])
+def test_non_pairs_of_a_strip_reach_no_statistic(block):
+    # every pair is negative, so a diagonal 1 or a 0 left in a strip moves the
+    # maximum, the histogram range or its counts
+    m = _obtuse_simplex(30)
+    s = coherence_sample(m, block_cols=block)
+    v = s.values
+    assert v.max() < -0.02
+    a, b = profile(s, bins=16), profile(_one_strip(v, m.data.shape), bins=16)
+    assert (a.mutual_coherence, a.histogram) == (b.mutual_coherence, b.histogram)
+    assert (a.histogram[0][0], a.histogram[-1][1]) == (v.min(), v.max())
+    assert (a.mean, a.std) == pytest.approx((b.mean, b.std), rel=1e-12, abs=0.0)

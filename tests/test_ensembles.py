@@ -205,6 +205,18 @@ def test_generate_holds_at_most_two_matrices():
     assert peak < 2.2 * m.data.nbytes
 
 
+def test_generate_holds_one_matrix():
+    # drawn, scaled and normalized in place; column norms square one block at a time
+    generate(EnsembleSpec("gaussian", 2, 2, 0))  # first-call imports are not the matrix's
+    tracemalloc.start()
+    try:
+        m = generate(EnsembleSpec("gaussian", 200, 5000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * m.data.nbytes
+
+
 def test_binary_roundtrip_bitwise(tmp_path):
     m = generate(EnsembleSpec("gaussian", 17, 23, 5))
     path = tmp_path / "m.bin"

@@ -22,6 +22,9 @@ GOLDEN = {
     "audit-bernoulli": (
         "audit --ensemble bernoulli --rows 40 --cols 120 --seed 4",
         "bff6e754508021da907f06708986fe5868586eae7549afb3207110caf4524b92"),
+    "audit-two-strips": (  # 1600 columns pass 2^21 Gram entries: every other audit is one strip
+        "audit --ensemble gaussian --rows 40 --cols 1600 --seed 12",
+        "ac186464329226ca1d91ab42cdeade576a2642e5719114debca0832e372fe594"),
     "audit-partial-fourier": (
         "audit --ensemble partial_fourier --rows 30 --cols 90 --seed 5",
         "59fa20ad89d91841d4ed8dbd780796ea011841b60bf60885feec48dc088fc1bf"),

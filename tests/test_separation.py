@@ -53,6 +53,18 @@ def test_joint_dictionary_holds_one_copy():
     assert peak <= 1.25 * joint.data.nbytes
 
 
+def test_spikes_fourier_pair_holds_its_two_matrices():
+    # the harmonic rows take their cosines and sines in place
+    spikes_fourier_pair(8)
+    tracemalloc.start()
+    try:
+        pair = spikes_fourier_pair(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * sum(m.data.nbytes for m in pair)
+
+
 def test_joint_dictionary_row_mismatch():
     with pytest.raises(DimensionError):
         joint_dictionary(MeasurementMatrix(np.eye(3)), MeasurementMatrix(np.eye(4)))
