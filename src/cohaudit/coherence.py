@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, UnnormalizedMatrixError
 
-# Gram entries held per strip (16 MB of float64).  Strips are
-# max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^21 is one strip.
-_STRIP_BUDGET = 2**21
+# Gram entries held per strip (4 MB of float64).  Strips are
+# max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^19 is one strip.
+_STRIP_BUDGET = 2**19
+
+# Strip entries binned at a time by _bin_counts (128 KB of float64).
+_BIN_CHUNK = 2**14
 
 HIST_BIN_CAP = 512
 
@@ -48,7 +51,7 @@ def _strip_stats(strips, count, bins=None):
     def second_pass(strip):
         parts, excluded = _pairs_in_place(*strip, lo)
         if counts is not None and hi > lo:
-            counts[:] += np.histogram(strip[0], bins=bins, range=(lo, hi))[0]
+            counts[:] += _bin_counts(strip[0], lo, hi, bins)
             counts[0] -= excluded  # the non-pairs, all set to lo
         return [_central_sums(v, mean) for v in parts]
 
@@ -64,6 +67,44 @@ def _first_pass(strip):
     """Sums of a strip's pair parts, and its extremes with the non-pairs set to a pair."""
     parts, _ = _pairs_in_place(*strip)
     return [np.sum(v) for v in parts], np.min(strip[0]), np.max(strip[0])
+
+
+def _bin_counts(v, lo, hi, bins):
+    """np.histogram(v, bins, range=(lo, hi))[0], bin for bin, for v within [lo, hi].
+
+    v's bin is the whole part of (v - lo) * bins / (hi - lo), which is off
+    from v's place among the np.linspace edges by a few ulps of
+    bins * max(|lo|, |hi|) / (hi - lo).  Only where it lies within tol of a
+    whole number can it differ from numpy's bin, so there numpy's rule is
+    applied: index (v - lo) / (hi - lo) * bins, moved by one where v is on
+    the wrong side of an edge.  Counted _BIN_CHUNK entries at a time.
+    """
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+    tol = max(1e-6, 64 * np.finfo(np.float64).eps * bins * max(abs(lo), abs(hi)) / (hi - lo))
+    scale = bins / (hi - lo)
+    flat = v.reshape(-1)
+    f, r = np.empty((2, min(flat.size, _BIN_CHUNK)))
+    k = np.empty(f.size, np.intp)
+    counts = np.zeros(bins, dtype=np.int64)
+    for a in range(0, flat.size, _BIN_CHUNK):
+        x = flat[a:a + _BIN_CHUNK]
+        fx, rx, kx = f[:x.size], r[:x.size], k[:x.size]
+        np.subtract(x, lo, out=fx)
+        fx *= scale
+        np.copyto(kx, fx, casting="unsafe")  # truncation, as astype(np.intp)
+        fx -= np.rint(fx, out=rx)
+        near = np.flatnonzero(np.abs(fx, out=fx) <= tol)
+        if near.size:
+            xn = x[near]
+            kn = ((xn - lo) / (hi - lo) * bins).astype(np.intp)
+            kn[kn == bins] -= 1
+            kn -= xn < edges[kn]
+            kn += (xn >= edges[kn + 1]) & (kn != bins - 1)
+            kx[near] = kn
+        counts += np.bincount(kx, minlength=bins)
+    return counts
 
 
 def _pairs_in_place(g, upper, fill=None):

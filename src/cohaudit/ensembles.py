@@ -23,9 +23,10 @@ _MAGIC = b"CAMX"
 # makes normalize_columns exactly idempotent in floating point.
 _NORM_SKIP = 8 * np.finfo(np.float64).eps
 
-# Column norms square a block of columns at a time: at most a sixteenth of
-# the matrix and at most this many entries (4 MB of float64).
-_NORM_BLOCK = 2**19
+# Entries in one block of generate's scratch (512 KB of float64): column
+# norms square at most this many (and at most a sixteenth of the matrix),
+# and Bernoulli signs are drawn as integers this many rows' worth at a time.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def _column_norms(data):
     block but that of a one-column matrix has two or more.
     """
     rows, cols = data.shape
-    step = max(2, min(cols // 16, _NORM_BLOCK // rows))
+    step = max(2, min(cols // 16, _BLOCK // rows))
     ends = [*range(0, max(cols - 1, 1), step), cols]
     norms = np.empty(cols)
     for a, z in zip(ends, ends[1:]):
@@ -154,7 +155,12 @@ def _draw(spec):
     if spec.ensemble == "gaussian":
         raw = rng.standard_normal((spec.rows, spec.cols))
     else:
-        raw = np.multiply(rng.integers(0, 2, size=(spec.rows, spec.cols)), 2.0)
+        # row blocks continue one stream: the bits of a single (rows, cols) draw
+        raw = np.empty((spec.rows, spec.cols))
+        step = max(1, _BLOCK // spec.cols)
+        for a in range(0, spec.rows, step):
+            block = raw[a:a + step]
+            np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
         raw -= 1.0
     raw /= np.sqrt(spec.rows)
     return raw

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohaudit import (
@@ -20,7 +24,7 @@ from cohaudit import (
     normalize_columns,
     profile,
 )
-from cohaudit.coherence import _STRIP_BUDGET
+from cohaudit.coherence import _BIN_CHUNK, _STRIP_BUDGET, _bin_counts
 from cohaudit.util import write_csv
 
 
@@ -313,7 +317,7 @@ def test_profile_and_normality_share_two_gram_passes():
 
 
 def test_statistics_memory_below_half_the_pair_array():
-    # 17,997,000 pairs: 137 MiB as one array.  One strip peaks at about 34 MiB.
+    # 17,997,000 pairs: 137 MiB as one array.  One strip peaks at about 4.4 MiB.
     m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
     tracemalloc.start()
     try:
@@ -327,7 +331,7 @@ def test_statistics_memory_below_half_the_pair_array():
 
 
 def test_statistics_memory_within_one_gram_strip():
-    # eighteen strips of 349 Gram rows, each read where the product leaves it
+    # sixty-nine strips of 87 Gram rows, each read where the product leaves it
     m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
     strip_bytes = 8 * (_STRIP_BUDGET // m.cols) * m.cols
     tracemalloc.start()
@@ -362,3 +366,91 @@ def test_non_pairs_of_a_strip_reach_no_statistic(block):
     assert (a.mutual_coherence, a.histogram) == (b.mutual_coherence, b.histogram)
     assert (a.histogram[0][0], a.histogram[-1][1]) == (v.min(), v.max())
     assert (a.mean, a.std) == pytest.approx((b.mean, b.std), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _binned_values(draw):
+    """(v, lo, hi, bins), v within [lo, hi]: edges and their neighbours, repeats, inner points."""
+    bins = draw(st.sampled_from([1, 2, 3, 10, 511, 512]) | st.integers(1, 512))
+    lo = draw(st.sampled_from([-1.0, -0.5, -1e-17, 0.0, 0.3]) | st.floats(-1.0, 1.0))
+    hi = lo + draw(st.sampled_from([1e-16, 3e-16, 1e-9, 0.5, 2.0]) | st.floats(1e-16, 2.0))
+    assume(hi > lo)
+    edges = np.linspace(lo, hi, bins + 1)
+    picked = edges[draw(st.lists(st.integers(0, bins), max_size=30))]
+    ulps = draw(st.lists(st.integers(-2, 2), min_size=picked.size, max_size=picked.size))
+    inner = lo + (hi - lo) * np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=30)))
+    repeated = np.full(draw(st.integers(0, 50)), lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+    ends = draw(st.sampled_from([[lo, hi], [lo], [hi], []]))
+    v = np.concatenate([ends, picked + np.array(ulps) * np.spacing(picked), inner, repeated])
+    v = np.clip(v, lo, hi)
+    size = draw(st.sampled_from([v.size, _BIN_CHUNK + 1, 2 * _BIN_CHUNK + 3]))
+    return np.resize(v, size if v.size else 0), lo, hi, bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_binned_values())
+@example(case=(np.array([0.25] * 7 + [0.75]), 0.25, 0.75, 512))  # one value and an outlier
+@example(case=(np.linspace(-0.9, -0.1, 9), -0.9, -0.1, 8))  # negative, every edge a value
+@example(case=(np.array([1e-17, 5e-17, 1.1e-16]), 1e-17, 1.1e-16, 512))  # 1e-16 wide
+@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 1))
+@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 512))  # too many bins
+def test_bin_counts_are_numpys_histogram(case):
+    v, lo, hi, bins = case
+    try:
+        want = np.histogram(v, bins, range=(lo, hi))[0]
+    except ValueError:  # numpy cannot make that many bins in a range a few ulps wide
+        with pytest.raises(ValueError):
+            _bin_counts(v, lo, hi, bins)
+        return
+    assert _bin_counts(v, lo, hi, bins).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("rows", [16, 12])
+def test_histogram_of_tied_pairs_is_numpys(rows):
+    # bernoulli pairs are multiples of 1/rows (exactly, at 16 rows), and the
+    # bins put edges on them: every strip's ties go through the counter's
+    # correction, and its non-pairs, filled with the minimum, are taken off
+    m = generate(EnsembleSpec("bernoulli", rows, 200, 4))
+    s = coherence_sample(m, block_cols=16)  # 13 strips
+    v = s.values
+    lo, hi = float(v.min()), float(v.max())
+    steps = round((hi - lo) * rows)
+    ties = 0
+    for bins in {steps, 2 * steps, steps // 2, steps // 3}:
+        counts = [c for _, _, c in profile(s, bins=bins).histogram]
+        assert counts == np.histogram(v, bins, range=(lo, hi))[0].tolist()
+        interior = np.linspace(lo, hi, bins + 1)[1:-1]
+        ties += np.isclose(v[:, None], interior, rtol=0.0, atol=1e-12).any(axis=1).sum()
+    assert ties > s.count  # pairs on an interior edge, or within 1e-12 of one
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss from os.wait4")
+@pytest.mark.parametrize("env", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}],
+                         ids=["malloc-default", "mmap-threshold"])
+def test_audit_peak_rss_within_one_strip_of_its_matrix(env):
+    # audit may hold one Gram strip and 3 MB more than a process that holds
+    # the package, the matrix and BLAS at work on a strip's columns
+    rows, cols = 400, 8000
+    w = _STRIP_BUDGET // cols
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, **env)
+
+    def peak_mb(*args):
+        # wait4 in a small launcher: a child exec'd from this test process
+        # takes this process's peak RSS as its own starting peak
+        launcher = ("import os, subprocess, sys\n"
+                    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                    "_, status, usage = os.wait4(p.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", launcher, sys.executable, *args], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        code, kib = map(int, out.split())
+        assert code == 0
+        return kib / 1024
+
+    audit = peak_mb("-m", "cohaudit", "audit", "--ensemble", "gaussian", "--rows", str(rows),
+                    "--cols", str(cols), "--seed", "0")
+    control = peak_mb("-c", "import cohaudit\n"
+                      f"d = cohaudit.generate(cohaudit.EnsembleSpec('gaussian', {rows}, {cols}, 0)).data\n"
+                      f"d[:, :{w}].T @ d[:, :{w}]")
+    assert audit <= control + 8 * w * cols / 2**20 + 3.0

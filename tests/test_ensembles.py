@@ -17,6 +17,7 @@ from cohaudit import (
     save_matrix,
 )
 from cohaudit._streams import k_subset, stream
+from cohaudit.ensembles import _BLOCK
 
 
 def test_gaussian_dims_and_unit_norms():
@@ -211,6 +212,28 @@ def test_generate_holds_one_matrix():
     tracemalloc.start()
     try:
         m = generate(EnsembleSpec("gaussian", 200, 5000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * m.data.nbytes
+
+
+@pytest.mark.parametrize("rows, cols", [(37, 3001), (200, 5000), (7, 30001)])
+def test_bernoulli_row_blocks_are_one_draw(rows, cols):
+    # the signs are drawn a block of rows at a time, the last block short
+    assert rows % max(1, _BLOCK // cols) != 0
+    whole = np.multiply(stream(3, "bernoulli", rows, cols).integers(0, 2, size=(rows, cols)), 2.0)
+    whole -= 1.0
+    whole /= np.sqrt(rows)
+    assert generate_raw(EnsembleSpec("bernoulli", rows, cols, 3)).data.tobytes() == whole.tobytes()
+
+
+def test_bernoulli_generate_holds_one_matrix():
+    # no int64 draw the size of the matrix beside it
+    generate(EnsembleSpec("bernoulli", 2, 2, 0))  # first-call imports are not the matrix's
+    tracemalloc.start()
+    try:
+        m = generate(EnsembleSpec("bernoulli", 200, 5000, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
