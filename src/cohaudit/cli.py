@@ -55,8 +55,16 @@ def _bin_count(text):
     return value
 
 
+def _seed(text):
+    """argparse type for --seed: an integer in [0, 2^64), the keyed streams' domain."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
+    return value
+
+
 def _add_common_args(sub):
-    sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

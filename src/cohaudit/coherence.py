@@ -35,8 +35,8 @@ class _Stats(namedtuple("_Stats", "lo hi mean m2 m4 counts")):  # counts None wi
 def _strip_stats(strips, count, bins=None):
     """_Stats of the pairs in the Gram strips strips() yields, holding one strip at a time.
 
-    strips() yields (g, upper): a new strip g, which this overwrites, whose
-    pairs are every entry, or with upper only the entries g[i, j], j > i.
+    strips() yields (g, upper): a new strip g whose pairs are every entry,
+    or with upper the g[i, j], j > i; they alone are read (and overwritten).
     Pass 1 sums and takes extremes; pass 2 the central sums and histogram.
     The element expressions are the whole-array ones: one strip, same bits.
     """
@@ -49,10 +49,10 @@ def _strip_stats(strips, count, bins=None):
         counts[-1] = count  # all values equal: the one point sits in the last bin
 
     def second_pass(strip):
-        parts, excluded = _pairs_in_place(*strip, lo)
+        parts = _pair_parts(*strip)
         if counts is not None and hi > lo:
-            counts[:] += _bin_counts(strip[0], lo, hi, bins)
-            counts[0] -= excluded  # the non-pairs, all set to lo
+            for v in parts:
+                counts[:] += _bin_counts(v, lo, hi, bins)
         return [_central_sums(v, mean) for v in parts]
 
     s2 = s4 = 0.0
@@ -64,9 +64,9 @@ def _strip_stats(strips, count, bins=None):
 
 
 def _first_pass(strip):
-    """Sums of a strip's pair parts, and its extremes with the non-pairs set to a pair."""
-    parts, _ = _pairs_in_place(*strip)
-    return [np.sum(v) for v in parts], np.min(strip[0]), np.max(strip[0])
+    """Sums of a strip's pair parts, and their extremes."""
+    parts = _pair_parts(*strip)
+    return [np.sum(v) for v in parts], min(map(np.min, parts)), max(map(np.max, parts))
 
 
 def _bin_counts(v, lo, hi, bins):
@@ -77,52 +77,51 @@ def _bin_counts(v, lo, hi, bins):
     bins * max(|lo|, |hi|) / (hi - lo).  Only where it lies within tol of a
     whole number can it differ from numpy's bin, so there numpy's rule is
     applied: index (v - lo) / (hi - lo) * bins, moved by one where v is on
-    the wrong side of an edge.  Counted _BIN_CHUNK entries at a time.
+    the wrong side of an edge.  v, 1-D or a strided 2-D view, is read where
+    it lies, in blocks of whole rows or row pieces of _BIN_CHUNK entries.
     """
     edges = np.linspace(lo, hi, bins + 1)
     if np.any(edges[:-1] >= edges[1:]):
-        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+        raise ValueError(f"the pairs span [{lo:.17g}, {hi:.17g}], too narrow for {bins} "
+                         "finite-sized bins; pass a smaller --bins (1 always fits)")
     tol = max(1e-6, 64 * np.finfo(np.float64).eps * bins * max(abs(lo), abs(hi)) / (hi - lo))
     scale = bins / (hi - lo)
-    flat = v.reshape(-1)
-    f, r = np.empty((2, min(flat.size, _BIN_CHUNK)))
+    v = np.atleast_2d(v)  # a 1-D part is one row
+    w = max(1, min(v.shape[1], _BIN_CHUNK))  # row pieces w long, h of them per block
+    h = _BIN_CHUNK // w
+    f, r = np.empty((2, min(v.size, _BIN_CHUNK)))
     k = np.empty(f.size, np.intp)
     counts = np.zeros(bins, dtype=np.int64)
-    for a in range(0, flat.size, _BIN_CHUNK):
-        x = flat[a:a + _BIN_CHUNK]
-        fx, rx, kx = f[:x.size], r[:x.size], k[:x.size]
+    for x in (v[a:a + h, b:b + w] for a in range(0, v.shape[0], h)
+              for b in range(0, v.shape[1], w)):
+        fx, rx, kx = (t[:x.size].reshape(x.shape) for t in (f, r, k))
         np.subtract(x, lo, out=fx)
         fx *= scale
         np.copyto(kx, fx, casting="unsafe")  # truncation, as astype(np.intp)
         fx -= np.rint(fx, out=rx)
         near = np.flatnonzero(np.abs(fx, out=fx) <= tol)
         if near.size:
-            xn = x[near]
+            xn = x.flat[near]
             kn = ((xn - lo) / (hi - lo) * bins).astype(np.intp)
             kn[kn == bins] -= 1
             kn -= xn < edges[kn]
             kn += (xn >= edges[kn + 1]) & (kn != bins - 1)
-            kx[near] = kn
-        counts += np.bincount(kx, minlength=bins)
+            kx.flat[near] = kn
+        counts += np.bincount(kx.ravel(), minlength=bins)
     return counts
 
 
-def _pairs_in_place(g, upper, fill=None):
-    """The parts of strip g that hold its pairs, and how many entries are not pairs.
+def _pair_parts(g, upper):
+    """The parts of strip g that hold its pairs; g is read, not written.
 
     Without upper the one part is g.  With upper the first part is a flat
     copy of the pairs in g's first rows + 1 columns (on the strip of the
     last rows: every pair, in order), the second a view of the columns to
-    their right, and the entries on and below the diagonal are overwritten
-    with fill (default: a pair), so extremes and histogram can read all of
-    g where it lies.
+    their right.
     """
     c = min(g.shape[0] + 1, g.shape[1]) if upper else 0
-    keep = np.arange(c) > np.arange(g.shape[0])[:, None]
-    tri = g[:, :c][keep]
-    if c:
-        g[:, :c][np.invert(keep, out=keep)] = tri[0] if fill is None else fill
-    return [v for v in (tri, g[:, c:]) if v.size], keep.size - tri.size
+    tri = g[:, :c][np.arange(c) > np.arange(g.shape[0])[:, None]]
+    return [v for v in (tri, g[:, c:]) if v.size]
 
 
 def _central_sums(v, mean):

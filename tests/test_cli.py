@@ -551,6 +551,42 @@ def test_bins_up_to_the_histogram_cap(capsys):
     assert len(json.loads(capsys.readouterr().out)["profile"]["histogram"]) == 512
 
 
+def test_audit_of_pairs_a_few_ulps_apart_names_the_bins_remedy(tmp_path, capsys):
+    # 780 pairs within a few ulps of 1: ceil(sqrt(780)) = 28 bins of that
+    # range have no finite width, but one bin has
+    col = np.array([0.5, -0.3, 0.8, 0.1, 0.4])
+    data = col[:, None] + 1e-15 * np.random.default_rng(0).standard_normal((5, 40))
+    path = tmp_path / "near.camx"
+    save_matrix(cohaudit.normalize_columns(MeasurementMatrix(data)), path)
+    assert run_cli(["audit", "--matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the pairs span \[0\.99999999\d*, 1\.0\d*\], too narrow for "
+                        r"28 finite-sized bins; pass a smaller --bins \(1 always fits\)\n", err)
+    assert run_cli(["audit", "--matrix", str(path), "--bins", "1"]) == 0
+    prof = json.loads(capsys.readouterr().out)["profile"]
+    assert [c for _, _, c in prof["histogram"]] == [780] == [prof["sample_count"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "--preset", "spikes-fourier", "--n", "16", "--nx", "1", "--ne", "1",
+     "--seed", "-5"],
+    ["verify", "--matrix", "{matrix}", "--k", "2", "--trials", "5", "--seed", "-1"],
+    ["phase", "--matrix", "{matrix}", "--k-list", "2", "--solver", "omp", "--trials", "5",
+     "--seed", str(2**64)],
+    ["audit", "--ensemble", "gaussian", "--rows", "5", "--cols", "8", "--seed", str(2**64)],
+], ids=["preset", "matrix", "matrix-2^64", "ensemble-2^64"])
+def test_seed_outside_the_stream_domain_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # every subcommand takes --seed from [0, 2^64), as the keyed streams do
+    path = tmp_path / "m.csv"
+    save_matrix(generate(EnsembleSpec("gaussian", 8, 12, 0)), path, "csv")
+    for name in ("generate", "load_matrix", "spikes_fourier_pair"):
+        monkeypatch.setattr(cli, name, unreachable(name))
+    assert run_cli([a.format(matrix=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: seed must be in [0, 2^64), got {argv[-1]}\n" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_spectral_trials_below_one_is_usage_error(capsys, count):
     # 0 used to fall back to --trials, and -5 ended as data error 1

@@ -31,7 +31,7 @@ from cohaudit.util import write_csv
 def _one_strip(values, source_dims):
     """A sample whose pairs are the given values, read as a single strip."""
     v = np.asarray(values, dtype=np.float64)
-    # a new strip per pass: _strip_stats overwrites the strips it reads
+    # a new strip per pass: _strip_stats overwrites the pairs it reads
     return CoherenceSample(lambda: iter(((v[None, :].copy(), False),)), v.size, source_dims)
 
 
@@ -316,6 +316,28 @@ def test_profile_and_normality_share_two_gram_passes():
     assert len(passes) == 2
 
 
+def test_statistics_leave_each_strips_non_pairs_as_computed():
+    # the diagonal and the entries below it are read by no statistic, nor written
+    m = generate(EnsembleSpec("gaussian", 20, 40, 3))
+    s = coherence_sample(m, block_cols=9)  # 5 strips
+    seen, strips = [], s._strips
+
+    def kept_strips():
+        for g, upper in strips():
+            seen.append(g)
+            yield g, upper
+
+    s._strips = kept_strips
+    profile(s, bins=7)
+    normality_check(s)
+    assert len(seen) == 2 * 5
+    for i, g in enumerate(seen):
+        a = 9 * (i % 5)
+        fresh = m.data[:, a:a + 9].T @ m.data[:, a:]
+        lower = np.arange(g.shape[1]) <= np.arange(g.shape[0])[:, None]
+        assert np.array_equal(g[lower], fresh[lower])
+
+
 def test_statistics_memory_below_half_the_pair_array():
     # 17,997,000 pairs: 137 MiB as one array.  One strip peaks at about 4.4 MiB.
     m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
@@ -387,17 +409,30 @@ def _binned_values(draw):
     return np.resize(v, size if v.size else 0), lo, hi, bins
 
 
+def _column_slice(v, width):
+    """v's values, cycled, as the last width columns of a C-ordered array one column wider."""
+    rows = -(-v.size // width)
+    base = np.full((rows, width + 1), np.nan)  # a read of the first column spoils the counts
+    base[:, 1:] = np.resize(v, rows * width).reshape(rows, width)
+    return base[:, 1:]
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=_binned_values())
-@example(case=(np.array([0.25] * 7 + [0.75]), 0.25, 0.75, 512))  # one value and an outlier
-@example(case=(np.linspace(-0.9, -0.1, 9), -0.9, -0.1, 8))  # negative, every edge a value
-@example(case=(np.array([1e-17, 5e-17, 1.1e-16]), 1e-17, 1.1e-16, 512))  # 1e-16 wide
-@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 1))
-@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 512))  # too many bins
-def test_bin_counts_are_numpys_histogram(case):
+@given(case=_binned_values(), width=st.sampled_from([None, 1, 7, _BIN_CHUNK + 5]))
+@example(case=(np.array([0.25] * 7 + [0.75]), 0.25, 0.75, 512), width=None)  # a value, an outlier
+@example(case=(np.linspace(-0.9, -0.1, 9), -0.9, -0.1, 8), width=None)  # every edge a value
+@example(case=(np.array([1e-17, 5e-17, 1.1e-16]), 1e-17, 1.1e-16, 512), width=None)  # 1e-16 wide
+@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 1), width=None)
+@example(case=(np.array([0.3, 0.3 + 1e-16]), 0.3, 0.3 + 1e-16, 512), width=None)  # too many bins
+@example(case=(np.zeros(0), -1.0, 1.0, 10), width=None)  # empty
+@example(case=(np.zeros(0), -1.0, 1.0, 10), width=7)  # no rows
+@example(case=(np.linspace(-0.9, -0.1, 9), -0.9, -0.1, 8), width=_BIN_CHUNK + 5)  # long rows
+def test_bin_counts_are_numpys_histogram(case, width):
     v, lo, hi, bins = case
+    if width is not None:  # a strided 2-D part, as a strip's columns right of its diagonal block
+        v = _column_slice(v, width)
     try:
-        want = np.histogram(v, bins, range=(lo, hi))[0]
+        want = np.histogram(v.ravel(), bins, range=(lo, hi))[0]
     except ValueError:  # numpy cannot make that many bins in a range a few ulps wide
         with pytest.raises(ValueError):
             _bin_counts(v, lo, hi, bins)
@@ -409,7 +444,7 @@ def test_bin_counts_are_numpys_histogram(case):
 def test_histogram_of_tied_pairs_is_numpys(rows):
     # bernoulli pairs are multiples of 1/rows (exactly, at 16 rows), and the
     # bins put edges on them: every strip's ties go through the counter's
-    # correction, and its non-pairs, filled with the minimum, are taken off
+    # correction, in both of its pair parts
     m = generate(EnsembleSpec("bernoulli", rows, 200, 4))
     s = coherence_sample(m, block_cols=16)  # 13 strips
     v = s.values

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,49 @@ def test_each_purpose_tag_keys_one_call_site():
     assert {tag: where for tag, where in sites.items() if len(where) > 1} == {}
     assert {"ratio", "spectral", "signal", "noise", "separation-x",
             "robust-noise", "joint-rip-e"} <= set(sites)
+
+
+def private_definitions(source):
+    """Sorted (line, name) of the module-level functions, classes and constants named _x."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return sorted(found)
+
+
+def references(source):
+    """How often each name is read in source, as a name, an attribute or an import."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+    return Counter(names)
+
+
+def test_private_definitions_and_references_are_found():
+    source = ("from .x import _a, b\n_LIMIT = 3\n_x, y = 1, 2\ndef _f(): return _LIMIT\n"
+              "class _C: pass\nz = m._g(b)\n__all__ = []\n")
+    assert private_definitions(source) == [(2, "_LIMIT"), (3, "_x"), (4, "_f"), (5, "_C")]
+    counts = references(source)
+    assert (counts["_a"], counts["_LIMIT"], counts["_g"], counts["_f"]) == (1, 1, 1, 0)
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name that nothing in the package reads is dead code
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    used = sum(map(references, sources.values()), Counter())
+    dead = [(name, line, helper) for name, source in sources.items()
+            for line, helper in private_definitions(source) if not used[helper]]
+    assert dead == []
