@@ -39,9 +39,17 @@ def _add_source_args(sub):
     sub.add_argument("--cols", type=int, help="cols for --ensemble")
 
 
+def _int(text):
+    """int(text), or an ArgumentTypeError that argparse prints after the flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text):
     """argparse type for counts that must be at least 1."""
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -57,7 +65,7 @@ def _bin_count(text):
 
 def _seed(text):
     """argparse type for --seed: an integer in [0, 2^64), the keyed streams' domain."""
-    value = int(text)
+    value = _int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
     return value

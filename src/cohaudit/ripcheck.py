@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import coherence
 from ._streams import k_subsets, stream
 from .coherence import require_normalized
 from .errors import DimensionError, DomainError
@@ -56,8 +57,9 @@ class TailCheckPoint:
 # streams (seed, purpose, k, "support" | "coeff", j), one row per trial, so
 # trial i depends only on (seed, k, i), whatever the threads or trial total.
 BLOCK_TRIALS = 1024
-# Entries in one chunk's (chunk, k, rows) gather of support columns, 512 KiB:
-# the sampler's memory stays cache-sized whatever the block or trial count.
+# Entries in one chunk's (chunk, k, rows) gather of support columns, or in its
+# (chunk, k, k) Gram blocks, 512 KiB: the samplers' memory stays cache-sized
+# whatever the block or trial count.
 GATHER_ENTRIES = 2**16
 
 
@@ -93,6 +95,30 @@ def _row_dot(a, b):
     return np.einsum("tr,tr->t", a, b)
 
 
+def _gram_blocks(data):
+    """A reader of (chunk slice, stacked D_S^T D_S) over a block's sorted supports.
+
+    A Gram that fits one coherence strip is computed once and indexed (threads
+    share it read-only); above that budget each chunk gathers its support
+    columns and multiplies them, so no N x N array is built.
+    """
+    rows, cols = data.shape
+    gram = data.T @ data if cols * cols <= coherence._STRIP_BUDGET else None
+
+    def read(supports):
+        size, k = supports.shape
+        for sl in _chunks(size, k, rows if gram is None else k):
+            s = supports[sl]
+            if gram is None:
+                # row by row from the row-major store: faster than strided columns
+                sub = np.take(data, s.ravel(), axis=1).reshape(rows, -1, k).transpose(1, 2, 0)
+                yield sl, sub @ sub.transpose(0, 2, 1)
+            else:
+                yield sl, gram[s[:, :, None], s[:, None, :]]
+
+    return read
+
+
 def _check_sampling(matrix, k, trials):
     require_normalized(matrix)
     if not 1 <= k <= matrix.cols:
@@ -105,19 +131,21 @@ def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
     """Draw energy ratios r = ||D x||^2 / ||x||^2 on random k-supports.
 
     Each block of trials draws from its own keyed streams, so results are
-    identical at any thread count.  Requires unit-norm columns.
+    identical at any thread count.  ||D x||^2 is evaluated as c^T G_S c
+    from the support's Gram block G_S = D_S^T D_S.  Requires unit-norm
+    columns.
     """
     _check_sampling(matrix, k, trials)
     if coeff_model not in COEFF_MODELS:
         raise ValueError(f"unknown coefficient model {coeff_model!r}")
-    data = matrix.data
+    gram_blocks = _gram_blocks(matrix.data)
 
     def block(j, size):
         supports, coeffs = _block_draws(seed, "ratio", k, matrix.cols, j, size, coeff_model)
         out = np.empty(size)
-        for sl in _chunks(size, k, matrix.rows):
-            v = _images(data, supports[sl], coeffs[sl])
-            out[sl] = _row_dot(v, v)
+        for sl, g in gram_blocks(supports):
+            c = coeffs[sl]
+            out[sl] = _row_dot((c[:, None, :] @ g)[:, 0], c)
         return out / _row_dot(coeffs, coeffs)
 
     values = _map_blocks(block, trials, threads)
@@ -157,22 +185,20 @@ def spectral_deviation(matrix, support):
 
 
 def sample_spectral(matrix, k, trials, seed, threads=1):
-    """Draw spectral deviations over random k-supports.
+    """Draw spectral deviations ||D_S^T D_S - I||_2 over random k-supports.
 
-    Each chunk of a block stacks its k x k Gram submatrices and takes
-    their eigenvalues in one call.
+    Each chunk of a block stacks its k x k Gram blocks and takes their
+    eigenvalues in one call.  Requires unit-norm columns.
     """
     _check_sampling(matrix, k, trials)
-    cols_t = matrix.data.T
+    gram_blocks = _gram_blocks(matrix.data)
     eye = np.eye(k)
 
     def block(j, size):
         supports = k_subsets(stream(seed, "spectral", k, "support", j), matrix.cols, k, size)
         out = np.empty(size)
-        for sl in _chunks(size, k, matrix.rows):
-            sub = cols_t[supports[sl]]
-            gram = sub @ sub.transpose(0, 2, 1) - eye
-            out[sl] = np.abs(np.linalg.eigvalsh(gram)).max(axis=1)
+        for sl, g in gram_blocks(supports):
+            out[sl] = np.abs(np.linalg.eigvalsh(g - eye)).max(axis=1)
         return out
 
     values = _map_blocks(block, trials, threads)

@@ -543,6 +543,18 @@ def test_counts_below_one_are_usage_errors(capsys):
     assert "argument --threads: must be >= 1, got -3" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "x"), ("--bins", "1.5"), ("--trials", "x"),
+                                         ("--spectral-trials", "2.0"), ("--threads", "two")])
+def test_non_integer_counts_are_usage_errors_naming_the_flag(capsys, flag, value):
+    # argparse would otherwise print the name of the private type function
+    command = "audit" if flag == "--bins" else "verify"
+    argv = [command, "--ensemble", "gaussian", "--rows", "10", "--cols", "12", flag, value]
+    assert run_cli(argv + (["--k", "2"] if command == "verify" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer, got {value!r}\n" in err
+    assert "invalid _" not in err
+
+
 def test_bins_up_to_the_histogram_cap(capsys):
     # above the cap (see test_usage_error_messages) the flag, not the input,
     # would set the report size, memory and time

@@ -22,7 +22,7 @@ GOLDEN = {
     "audit-bernoulli": (
         "audit --ensemble bernoulli --rows 40 --cols 120 --seed 4",
         "bff6e754508021da907f06708986fe5868586eae7549afb3207110caf4524b92"),
-    "audit-two-strips": (  # 1600 columns pass 2^21 Gram entries: every other audit is one strip
+    "audit-two-strips": (  # 1600 columns read 5 strips of 327 rows: every other audit is one strip
         "audit --ensemble gaussian --rows 40 --cols 1600 --seed 12",
         "ac186464329226ca1d91ab42cdeade576a2642e5719114debca0832e372fe594"),
     "audit-partial-fourier": (

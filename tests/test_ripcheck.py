@@ -1,8 +1,10 @@
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohaudit import (
@@ -19,10 +21,11 @@ from cohaudit import (
     spectral_deviation,
     tail_check,
 )
+from cohaudit import coherence
 from cohaudit._streams import k_subset, k_subsets, stream
 from cohaudit.bounds import energy_deviation_tail, rip_width, spectral_deviation_tail
 from cohaudit.linalg import operator_norm, sym_opnorm
-from cohaudit.ripcheck import BLOCK_TRIALS
+from cohaudit.ripcheck import BLOCK_TRIALS, _gram_blocks
 
 
 def test_ratios_orthonormal_exactly_one(ortho_30):
@@ -318,15 +321,84 @@ def test_k_subsets_uniform_over_all_subsets():
     assert chi2 <= 65.25
 
 
+def sampler_path(path):
+    """Run the samplers on their "gram" path (the default at these sizes) or
+    force their "gather" path: no Gram fits a zero budget."""
+    return mock.patch.object(coherence, "_STRIP_BUDGET", 0) if path == "gather" else nullcontext()
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("sampler", [sample_ratios, sample_spectral])
 def test_sampler_memory_is_bounded_by_chunks(gauss_200x400, sampler):
     # a whole 1024-trial block gathered at once would hold 1024 x 10 x 200
-    # floats (16 MiB); chunks of at most 2^16 gathered entries stay far below
+    # floats (16 MiB); chunks of at most 2^16 gathered entries, or the 1.28 MB
+    # Gram and its chunks of blocks, stay far below
     sampler(gauss_200x400, 10, 100, 3)
-    tracemalloc.start()
-    try:
-        sampler(gauss_200x400, 10, 10_000, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for path in ("gram", "gather"):
+        with sampler_path(path):
+            assert traced_peak(lambda: sampler(gauss_200x400, 10, 10_000, 3)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("sampler", [sample_ratios, sample_spectral])
+def test_no_gram_is_built_above_the_strip_budget(sampler):
+    m = generate(EnsembleSpec("gaussian", 20, 800, 4))  # 800^2 > 2^19 Gram entries
+    sampler(m, 10, 100, 3)
+    assert traced_peak(lambda: sampler(m, 10, 3000, 3)) < 800 * 800 * 8
+
+
+@st.composite
+def gram_path_case(draw):
+    """A small unit-norm dictionary with some columns duplicated or negated."""
+    rows = draw(st.integers(1, 6))
+    base = generate(EnsembleSpec("gaussian", rows, draw(st.integers(1, 8)),
+                                 draw(st.integers(0, 2**32)))).data
+    picks = draw(st.lists(st.tuples(st.integers(0, base.shape[1] - 1),
+                                    st.sampled_from([1.0, -1.0])), max_size=4))
+    data = np.column_stack([base] + [sign * base[:, j] for j, sign in picks])
+    k = draw(st.integers(1, data.shape[1]) | st.just(data.shape[1]))
+    return MeasurementMatrix(data), k, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_path_case(), st.sampled_from([1, 300, BLOCK_TRIALS + 5]),
+       st.sampled_from(["gaussian", "rademacher"]))
+@example((MeasurementMatrix(np.array([[0.6, -0.6], [0.8, -0.8]])), 2, 5), 300, "rademacher")
+def test_gram_and_gather_paths_agree(case, trials, model):
+    m, k, seed = case
+    supports, coeffs = block_layout(seed, "ratio", k, m.cols, trials, model)
+    runs = {}
+    for path in ("gram", "gather"):
+        with sampler_path(path):
+            blocks = np.concatenate([g for _, g in _gram_blocks(m.data)(supports)])
+            ratios = sample_ratios(m, k, trials, seed, coeff_model=model, threads=2)
+            spectral = sample_spectral(m, k, trials, seed, threads=2)
+            # two blocks at BLOCK_TRIALS + 5 trials: the threads share one Gram
+            assert np.array_equal(ratios.values,
+                                  sample_ratios(m, k, trials, seed, coeff_model=model).values)
+            assert np.array_equal(spectral.values, sample_spectral(m, k, trials, seed).values)
+        runs[path] = blocks, ratios, spectral
+    (gram_b, gram_r, gram_s), (gather_b, gather_r, gather_s) = runs["gram"], runs["gather"]
+    assert np.max(np.abs(gram_b - gather_b)) <= 1e-12
+    images = np.einsum("tkr,tk->tr", m.data.T[supports], coeffs)
+    energy = np.einsum("tr,tr->t", images, images)
+    for sample in (gram_r, gather_r):
+        expect = energy / np.einsum("tk,tk->t", coeffs, coeffs)
+        assert np.all(np.abs(sample.values - expect) <= 1e-12 * np.maximum(expect, 1.0))
+        # where D_S c is exactly 0, c^T G_S c may round below 0 but not by more
+        assert np.all(sample.values[energy == 0.0] >= -1e-15)
+    assert np.max(np.abs(gram_r.values - gather_r.values)) <= 1e-12
+    assert np.max(np.abs(gram_s.values - gather_s.values)) <= 1e-12
+    for g in (0.05, 0.3):
+        assert band_frequency(gram_r, g) == band_frequency(gather_r, g)
+    grid = [0.123, 0.377, 0.91]
+    for a, b in ((gram_r, gather_r), (gram_s, gather_s)):
+        assert [p.empirical for p in tail_check(a, grid, lambda t: 0.5)] == \
+            [p.empirical for p in tail_check(b, grid, lambda t: 0.5)]
