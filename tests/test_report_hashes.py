@@ -35,6 +35,18 @@ GOLDEN = {
         "phase --ensemble gaussian --rows 40 --cols 100 --solver omp --k-list 2,6,10,14"
         " --trials 12 --seed 7",
         "9507eee18a797c8986432f48dcc4a27654d1e84c7f65b63a7820c15a7a284a05"),
+    "phase-omp-noisy": (
+        "phase --ensemble gaussian --rows 40 --cols 100 --solver omp --k-list 2,6,10,14"
+        " --trials 12 --noise 0.01 --seed 15",
+        "e09e183982311bb736a58b45bd32d85b0b960580764eef39a863e2859c260453"),
+    "phase-iht": (
+        "phase --ensemble gaussian --rows 40 --cols 100 --solver iht --k-list 2,6,10,14"
+        " --trials 12 --seed 13",
+        "d3ee2f6e3619ac54ea6d055fb04639f89c34b00e5defb03d42abfc16dbb5f340"),
+    "phase-iht-noisy": (
+        "phase --ensemble gaussian --rows 40 --cols 100 --solver iht --k-list 2,6,10"
+        " --trials 12 --noise 0.01 --seed 14",
+        "fd1baf5906bcc17666c82a1b1899dffa5319a34c544c6e6091d413e4cc6d7b87"),
     "phase-bpdn": (
         "phase --ensemble gaussian --rows 30 --cols 60 --solver bpdn --k-list 2,5,8"
         " --trials 4 --seed 8",
