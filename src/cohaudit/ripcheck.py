@@ -86,9 +86,19 @@ def _chunks(size, k, rows):
     return [slice(lo, lo + step) for lo in range(0, size, step)]
 
 
+def _columns(data, idx):
+    """data.T[idx]: the columns data[:, i], i in idx, as an idx.shape + (rows,) view.
+
+    They are gathered row by row from the row-major store, which is faster
+    than reading strided columns.
+    """
+    gathered = np.take(data, idx, axis=1)
+    return gathered.transpose(*range(1, gathered.ndim), 0)
+
+
 def _images(data, supports, coeffs):
     """D_S c for each row (S, c) of a chunk, as a (chunk, rows) array."""
-    return np.einsum("tkr,tk->tr", data.T[supports], coeffs)
+    return np.einsum("tkr,tk->tr", _columns(data, supports), coeffs)
 
 
 def _row_dot(a, b):
@@ -110,8 +120,7 @@ def _gram_blocks(data):
         for sl in _chunks(size, k, rows if gram is None else k):
             s = supports[sl]
             if gram is None:
-                # row by row from the row-major store: faster than strided columns
-                sub = np.take(data, s.ravel(), axis=1).reshape(rows, -1, k).transpose(1, 2, 0)
+                sub = _columns(data, s)
                 yield sl, sub @ sub.transpose(0, 2, 1)
             else:
                 yield sl, gram[s[:, :, None], s[:, None, :]]

@@ -16,7 +16,7 @@ from ._streams import stream
 from .ensembles import MeasurementMatrix
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
-from .ripcheck import _block_draws, _chunks
+from .ripcheck import _block_draws, _chunks, _columns, _row_dot
 from .util import parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
@@ -112,14 +112,14 @@ def _flag(flags, columns, name):
 def _fit(data, corr_y, idx, mask, flags):
     """Least squares of column idx[t] of Y on the columns of M set in mask[:, t], each t.
 
-    Solves the normal equations on stacked Gram blocks M_S^T M_S against
-    corr_y = M^T Y, padded to one size by an identity block; a single
-    right-hand side pays for its own block only, never for all of M^T M.
-    A column in the span of the others has the squared Cholesky pivot
-    ridge * (1 + |a|^2) in its ridged block, a its coefficients on them;
-    an independent column adds its squared distance from that span.  A
-    block with such a column is solved with the ridge and flagged
-    'regularized'.
+    CoSaMP's refit of a merged support.  Solves the normal equations on
+    stacked Gram blocks M_S^T M_S against corr_y = M^T Y, padded to one size
+    by an identity block; a single right-hand side pays for its own block
+    only, never for all of M^T M.  A column in the span of the others has
+    the squared Cholesky pivot ridge * (1 + |a|^2) in its ridged block, a
+    its coefficients on them; an independent column adds its squared
+    distance from that span.  A block with such a column is solved with
+    the ridge and flagged 'regularized'.
     """
     order = np.argsort(~mask, axis=0, kind="stable")[:mask.sum(axis=0).max()]
     sets, real = order.T, np.take_along_axis(mask, order, axis=0).T
@@ -127,7 +127,7 @@ def _fit(data, corr_y, idx, mask, flags):
     rhs = np.where(real, corr_y[sets, idx[:, None]], 0.0)
     coef = np.empty(sets.shape)
     for sl in _chunks(idx.size, sets.shape[1], data.shape[0]):
-        sub, r = data.T[sets[sl]], real[sl]
+        sub, r = _columns(data, sets[sl]), real[sl]
         blocks = np.where(r[:, :, None] & r[:, None, :], sub @ sub.transpose(0, 2, 1), eye)
         scale = np.max(np.diagonal(blocks, axis1=1, axis2=2), axis=1)
         ridged = blocks + (_RIDGE * scale)[:, None, None] * eye
@@ -171,7 +171,7 @@ def _results(estimates, iterations, rnorms, converged, flags):
 
 
 def omp(matrix, y, k=None, residual_tol=None):
-    """Orthogonal matching pursuit with full least-squares refit per step.
+    """Orthogonal matching pursuit: each step fits y by least squares on the atoms chosen.
 
     Stops after k atoms, or when the residual norm drops to
     residual_tol, whichever is requested (at least one must be).  Ties
@@ -185,40 +185,98 @@ def omp(matrix, y, k=None, residual_tol=None):
 
 
 def _omp(op, ys, k=None, residual_tol=None):
-    """omp on each column of ys; two matrix products and one block fit per step."""
+    """omp on each column of ys, a chunk of columns at a time (see _pursue)."""
     data = op.data
     if k is None and residual_tol is None:
         raise ValueError("need a sparsity target k or a residual_tol")
     if k is not None:
         _check_k(k, "omp", *data.shape)
+    steps = k if k is not None else min(data.shape)
     x = np.zeros((data.shape[1], ys.shape[1]))
-    chosen = np.zeros(x.shape, dtype=bool)
-    resid = ys.copy()
-    rnorm = np.linalg.norm(ys, axis=0)
-    live = rnorm > 0.0
     iterations = np.zeros(ys.shape[1], dtype=int)
+    rnorm = np.empty(ys.shape[1])
     flags = [[] for _ in iterations]
-    corr_y = data.T @ ys
-    for _ in range(k if k is not None else min(data.shape)):
-        if residual_tol is not None:
-            live &= rnorm > residual_tol
-        idx = np.flatnonzero(live)
-        picks = np.argmax(np.abs(data.T @ resid[:, idx]), axis=0)
-        repeat = chosen[picks, idx]
-        _flag(flags, idx[repeat], "stalled")
-        live[idx[repeat]] = False
-        idx, picks = idx[~repeat], picks[~repeat]
-        if idx.size == 0:
-            break
-        chosen[picks, idx] = True
-        x[:, idx] = _fit(data, corr_y, idx, chosen[:, idx], flags)
-        resid[:, idx] = ys[:, idx] - data @ x[:, idx]
-        rnorm[idx] = np.linalg.norm(resid[:, idx], axis=0)
-        iterations[idx] += 1
+    for sl in _chunks(ys.shape[1], steps, data.shape[0]):
+        iterations[sl], rnorm[sl] = _pursue(data, ys[:, sl], steps, residual_tol,
+                                            x[:, sl], flags[sl])
     converged = (np.linalg.norm(ys, axis=0) == 0.0) | (iterations == k)
     if residual_tol is not None:
         converged |= rnorm <= residual_tol
     return _results(x, iterations, rnorm, converged, flags)
+
+
+def _pursue(data, ys, steps, residual_tol, x, flags):
+    """Up to steps omp atoms for each column of ys; fills x, returns (iterations, rnorm).
+
+    Each column keeps its atoms in pick order, an orthonormal basis Q of
+    their span and the upper triangular R with D_S = Q R, grown by one
+    atom per step: the new atom, projected off Q twice (classical
+    Gram-Schmidt with reorthogonalisation), leaves its squared distance
+    from the span, the squared Cholesky pivot it adds to D_S^T D_S.  A
+    pivot of at most _DEPENDENT_PIVOT times the largest squared atom norm
+    flags the column 'regularized', and that atom adds no basis vector.
+    The residual loses its part on each new basis vector, so it is y's
+    least-squares residual throughout, and one matrix product per step
+    correlates it with every atom.  The coefficients are solved once, at
+    the end: R x = Q^T y, or for a flagged column the ridged normal
+    equations (R^T R + ridge) x = R^T Q^T y, as _fit solves them.  The
+    basis holds columns x steps x rows floats; _omp passes chunks of
+    columns that keep it within GATHER_ENTRIES.
+    """
+    rows, cols = data.shape
+    resid = ys.T.copy()
+    size = resid.shape[0]
+    rnorm = np.linalg.norm(resid, axis=1)
+    live = rnorm > 0.0
+    iterations = np.zeros(size, dtype=int)
+    basis = np.zeros((size, steps, rows))
+    tri = np.tile(np.eye(steps), (size, 1, 1))  # dead columns' slots stay identity
+    proj = np.zeros((size, steps))
+    picks = np.zeros((size, steps), dtype=np.intp)
+    chosen = np.zeros((size, cols), dtype=bool)
+    scale = np.zeros(size)
+    dependent = np.zeros(size, dtype=bool)
+    for s in range(steps):
+        if residual_tol is not None:
+            live &= rnorm > residual_tol
+        pick = np.argmax(np.abs(resid @ data), axis=1)
+        repeat = live & chosen[np.arange(size), pick]
+        _flag(flags, np.flatnonzero(repeat), "stalled")
+        live &= ~repeat
+        if not live.any():
+            break
+        chosen[live, pick[live]] = True
+        atom = _columns(data, pick)
+        scale = np.where(live, np.maximum(scale, _row_dot(atom, atom)), scale)
+        q, coef = atom, np.zeros((size, s))
+        for _ in range(2):  # classical Gram-Schmidt, twice, keeps Q orthonormal
+            h = (basis[:, :s] @ q[:, :, None])[:, :, 0]
+            q = q - (h[:, None, :] @ basis[:, :s])[:, 0]
+            coef += h
+        dist2 = _row_dot(q, q)
+        weak = live & (dist2 <= _DEPENDENT_PIVOT * scale)
+        _flag(flags, np.flatnonzero(weak), "regularized")
+        dependent |= weak
+        dist = np.sqrt(dist2)
+        # a flagged atom's part off the span is too small to normalise
+        q = q * np.divide(1.0, dist, out=np.zeros(size), where=live & ~weak)[:, None]
+        basis[:, s] = q
+        tri[:, :s, s] = np.where(live[:, None], coef, 0.0)
+        tri[:, s, s] = np.where(live, dist, 1.0)
+        picks[:, s] = pick
+        proj[:, s] = _row_dot(q, resid)
+        resid -= proj[:, s, None] * q
+        rnorm = np.linalg.norm(resid, axis=1)
+        iterations += live
+    eye = np.eye(steps)
+    tri_t = tri.transpose(0, 2, 1)
+    ridged = tri_t @ tri + (_RIDGE * scale)[:, None, None] * eye
+    system = np.where(dependent[:, None, None], ridged, tri)
+    rhs = np.where(dependent[:, None], (tri_t @ proj[:, :, None])[:, :, 0], proj)
+    coef = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    real = np.arange(steps) < iterations[:, None]
+    x[picks[real], np.nonzero(real)[0]] = coef[real]
+    return iterations, rnorm
 
 
 def iht(matrix, y, k, max_iter=1000, tol=1e-10):
@@ -233,28 +291,63 @@ def iht(matrix, y, k, max_iter=1000, tol=1e-10):
 
 
 def _iht(op, ys, k, max_iter=1000, tol=1e-10):
-    """iht on each column of ys: two products and a per-column top-k per iteration."""
+    """iht on each column of ys, each iterate held as its k support indices and values.
+
+    M x is formed from the k support columns, gathered in chunks of at
+    most GATHER_ENTRIES entries, and M^T (y - M x) by one dense product per
+    iteration.  The top-k partition is skipped where the support cannot
+    have moved: if exactly k entries of |moved| reach tau, the smallest
+    one on the old support, then those k are the old support, ties and
+    all.  The stop rule's ||x_next - x|| reads only the entries that
+    changed.
+    """
     data = op.data
-    _check_k(k, "iht", *data.shape)
+    rows, cols = data.shape
+    _check_k(k, "iht", rows, cols)
     step = op.step
-    x = np.zeros((data.shape[1], ys.shape[1]))
-    iterations = np.zeros(ys.shape[1], dtype=int)
-    converged = np.zeros(ys.shape[1], dtype=bool)
-    idx = np.arange(ys.shape[1])  # the live columns; xs and live_ys hold theirs
-    xs, live_ys = x, ys
+    size = ys.shape[1]
+    iterations = np.zeros(size, dtype=int)
+    converged = np.zeros(size, dtype=bool)
+    support = np.zeros((size, k), dtype=np.intp)
+    values = np.zeros((size, k))
+    # the live columns: idx, their iterates (sup, val) with x = 0 on any k
+    # indices, and their observations as rows
+    idx, live_ys = np.arange(size), ys.T
+    sup, val = np.tile(np.arange(k), (size, 1)), np.zeros((size, k))
+    lanes, chunks = np.arange(size)[:, None], _chunks(size, k, rows)
     for it in range(1, max_iter + 1):
         iterations[idx] = it
-        moved = xs + step * (data.T @ (live_ys - data @ xs))
-        x_next = np.where(_top_k(np.abs(moved), k), moved, 0.0)
-        done = np.linalg.norm(x_next - xs, axis=0) <= tol
-        xs = x_next
+        fit = np.empty(live_ys.shape)
+        for sl in chunks:
+            fit[sl] = (val[sl, None, :] @ _columns(data, sup[sl]))[:, 0]
+        moved = (live_ys - fit) @ data
+        moved *= step
+        new_val = val + moved[lanes, sup]
+        moved[lanes, sup] = new_val
+        tau = np.min(np.abs(new_val), axis=1, initial=np.inf)
+        same = (np.abs(moved) >= tau[:, None]).sum(axis=1) == k
+        delta = _row_dot(new_val - val, new_val - val)
+        if not same.all():
+            rest = np.flatnonzero(~same)
+            moved, old_sup = moved[rest], sup[rest]  # the rows whose support may move
+            keep = _top_k(np.abs(moved).T, k).T
+            moved[~keep] = 0.0  # x_next
+            sup[rest] = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+            new_val[rest] = np.take_along_axis(moved, sup[rest], axis=1)
+            moved[lanes[:rest.size], old_sup] -= val[rest]  # x_next - x
+            delta[rest] = _row_dot(moved, moved)
+        val = new_val
+        done = np.sqrt(delta) <= tol
         if done.any():
-            x[:, idx[done]] = xs[:, done]
+            support[idx[done]], values[idx[done]] = sup[done], val[done]
             converged[idx[done]] = True
-            idx, xs, live_ys = idx[~done], xs[:, ~done], live_ys[:, ~done]
+            idx, live_ys, sup, val = idx[~done], live_ys[~done], sup[~done], val[~done]
             if idx.size == 0:
                 break
-    x[:, idx] = xs
+            lanes, chunks = lanes[:idx.size], _chunks(idx.size, k, rows)
+    support[idx], values[idx] = sup, val
+    x = np.zeros((cols, size))
+    x[support, np.arange(size)[:, None]] = values
     return _results(x, iterations, np.linalg.norm(ys - data @ x, axis=0), converged,
                     [[] for _ in iterations])
 

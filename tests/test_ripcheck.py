@@ -25,7 +25,7 @@ from cohaudit import coherence
 from cohaudit._streams import k_subset, k_subsets, stream
 from cohaudit.bounds import energy_deviation_tail, rip_width, spectral_deviation_tail
 from cohaudit.linalg import operator_norm, sym_opnorm
-from cohaudit.ripcheck import BLOCK_TRIALS, _gram_blocks
+from cohaudit.ripcheck import BLOCK_TRIALS, _columns, _gram_blocks
 
 
 def test_ratios_orthonormal_exactly_one(ortho_30):
@@ -352,6 +352,25 @@ def test_no_gram_is_built_above_the_strip_budget(sampler):
     m = generate(EnsembleSpec("gaussian", 20, 800, 4))  # 800^2 > 2^19 Gram entries
     sampler(m, 10, 100, 3)
     assert traced_peak(lambda: sampler(m, 10, 3000, 3)) < 800 * 800 * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 7), cols=st.integers(1, 9), n=st.integers(0, 5),
+       k=st.integers(0, 9), seed=st.integers(0, 2**32))
+@example(rows=1, cols=5, n=3, k=2, seed=0)
+@example(rows=6, cols=4, n=2, k=4, seed=1)
+def test_columns_is_the_strided_gather(rows, cols, n, k, seed):
+    # bit for bit the strided read data.T[idx]: for a block of sorted supports,
+    # as the samplers, _fit and _iht gather them, and for one pick per row, as
+    # _omp does; the examples are a one-row matrix and supports of every column
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, cols))
+    supports = np.sort(rng.permuted(np.tile(np.arange(cols), (n, 1)), axis=1)[:, :k], axis=1)
+    picks = rng.integers(0, cols, size=n)
+    for idx in (supports, picks):
+        got = _columns(matrix, idx)
+        assert got.shape == idx.shape + (rows,)
+        assert np.ascontiguousarray(got).tobytes() == matrix.T[idx].tobytes()
 
 
 @st.composite

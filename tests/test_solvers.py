@@ -24,6 +24,8 @@ from cohaudit import (
 )
 from cohaudit import solvers
 from cohaudit.linalg import operator_norm
+from cohaudit.ripcheck import GATHER_ENTRIES
+from test_ripcheck import traced_peak
 
 
 def test_hard_threshold_ties_pick_lower_index():
@@ -665,3 +667,73 @@ def test_phase_curve_computes_the_iht_step_once(monkeypatch, gauss_100x500):
     monkeypatch.setattr(solvers, "operator_norm", counted)
     phase_curve(gauss_100x500, [1, 2, 3], "iht", 4, 0.0, 0)
     assert calls == [(100, 500)]
+
+
+@st.composite
+def spike_problem(draw):
+    """Signed spikes, some copied or negated once, and planted signals of one magnitude.
+
+    Every column has one nonzero and every row at most two, so each product
+    rounds the same in any summation order: the kernels and the reference
+    see the same numbers, and equal magnitudes are real ties for top-k and
+    argmax.
+    """
+    rows = draw(st.integers(1, 7))
+    base = np.eye(rows)[:, draw(st.permutations(range(rows)))]
+    base *= draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows, max_size=rows))
+    copies = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.sampled_from([1.0, -1.0])),
+                           max_size=rows, unique_by=lambda c: c[0]))
+    data = np.column_stack([base] + [sign * base[:, j] for j, sign in copies])
+    data = data[:, draw(st.permutations(range(data.shape[1])))]
+    solver = draw(st.sampled_from(["iht", "omp"]))
+    k = draw(st.integers(0, rows if solver == "omp" else data.shape[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    trials = draw(st.integers(1, 5))
+    truths = np.zeros((data.shape[1], trials))
+    for t in range(trials):
+        truths[rng.choice(data.shape[1], k, replace=False), t] = rng.choice([-1.0, 1.0], k)
+    truths *= draw(st.sampled_from([0.5, 1.0, 3.0]))
+    # noiseless omp is left out: after an exact fit, rounding in the reference's
+    # lstsq residual, not the data, picks the next atom
+    noise = draw(st.sampled_from([0.0, 0.01] if solver == "iht" else [0.01]))
+    ys = data @ truths + noise * rng.standard_normal((rows, trials))
+    return data, solver, k, truths, ys, noise
+
+
+def outcome(res, truth, noise):
+    rel, est_sup, true_sup = solvers._score(res.estimate, truth, noise)
+    success = rel <= solvers.NOISELESS_SUCCESS_TOL if noise == 0 else est_sup == true_sup
+    return success, res.iterations, res.converged, res.flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(spike_problem(), st.sampled_from([3, 40]))
+def test_kernels_match_the_reference_per_column(problem, max_iter):
+    # the batched kernels against the one-signal reference, column by column:
+    # duplicated and negated atoms tie in every correlation, equal planted
+    # magnitudes tie in IHT's top-k, and both must break the ties as the
+    # reference does (to the lower index)
+    data, solver, k, truths, ys, noise = problem
+    op = solvers._Operand(data)
+    if solver == "iht":
+        got = solvers._iht(op, ys, k, max_iter=max_iter)
+        want = [ref.iht(data, y, k, max_iter=max_iter) for y in ys.T]
+    else:
+        got = solvers._omp(op, ys, k)
+        want = [ref.omp(data, y, k) for y in ys.T]
+    for g, w, truth in zip(got, want, truths.T):
+        assert outcome(g, truth, noise) == outcome(w, truth, noise)
+        assert np.allclose(data @ g.estimate, data @ w.estimate, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("solver, options", [("omp", {}), ("iht", {"max_iter": 20})])
+def test_solver_memory_is_bounded_by_chunks(solver, options):
+    # 2000 trials at k = 30 on 40 x 80: a block's k support columns, or its
+    # omp bases, gathered whole would hold trials x k x rows floats, 15 of the
+    # (cols x trials) arrays that planting and the dense products need; the
+    # kernels gather chunks of at most GATHER_ENTRIES entries instead
+    m = generate(EnsembleSpec("gaussian", 40, 80, 3))
+    op, trials = solvers._Operand(m), 2000
+    solvers._trials(op, 30, solver, 0.0, 1, 10, options)
+    peak = traced_peak(lambda: solvers._trials(op, 30, solver, 0.0, 1, trials, options))
+    assert peak < 10 * m.cols * trials * 8 + 2 * GATHER_ENTRIES * 8
