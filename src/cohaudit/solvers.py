@@ -208,20 +208,16 @@ def _omp(op, ys, k=None, residual_tol=None):
 def _pursue(data, ys, steps, residual_tol, x, flags):
     """Up to steps omp atoms for each column of ys; fills x, returns (iterations, rnorm).
 
-    Each column keeps its atoms in pick order, an orthonormal basis Q of
-    their span and the upper triangular R with D_S = Q R, grown by one
-    atom per step: the new atom, projected off Q twice (classical
-    Gram-Schmidt with reorthogonalisation), leaves its squared distance
-    from the span, the squared Cholesky pivot it adds to D_S^T D_S.  A
-    pivot of at most _DEPENDENT_PIVOT times the largest squared atom norm
-    flags the column 'regularized', and that atom adds no basis vector.
-    The residual loses its part on each new basis vector, so it is y's
-    least-squares residual throughout, and one matrix product per step
-    correlates it with every atom.  The coefficients are solved once, at
-    the end: R x = Q^T y, or for a flagged column the ridged normal
-    equations (R^T R + ridge) x = R^T Q^T y, as _fit solves them.  The
-    basis holds columns x steps x rows floats; _omp passes chunks of
-    columns that keep it within GATHER_ENTRIES.
+    Each column grows an orthonormal basis Q of its atoms' span and the
+    triangular R of D_S = Q R by one atom per step, in pick order.  The
+    atom projected off Q (twice) leaves its squared distance from the
+    span, the squared Cholesky pivot it adds to D_S^T D_S; one of at most
+    _DEPENDENT_PIVOT times the largest squared atom norm flags
+    'regularized' and adds no basis vector.  The residual, y's least-squares residual throughout,
+    loses its part on each new basis vector.  The coefficients are solved
+    at the end from R x = Q^T y, or for a flagged column from _fit's ridged
+    normal equations (R^T R + ridge) x = R^T Q^T y.  Q holds columns x
+    steps x rows floats, so _omp passes chunks within GATHER_ENTRIES.
     """
     rows, cols = data.shape
     resid = ys.T.copy()
@@ -293,13 +289,11 @@ def iht(matrix, y, k, max_iter=1000, tol=1e-10):
 def _iht(op, ys, k, max_iter=1000, tol=1e-10):
     """iht on each column of ys, each iterate held as its k support indices and values.
 
-    M x is formed from the k support columns, gathered in chunks of at
-    most GATHER_ENTRIES entries, and M^T (y - M x) by one dense product per
-    iteration.  The top-k partition is skipped where the support cannot
-    have moved: if exactly k entries of |moved| reach tau, the smallest
-    one on the old support, then those k are the old support, ties and
-    all.  The stop rule's ||x_next - x|| reads only the entries that
-    changed.
+    M x comes from the k support columns, gathered in chunks of at most
+    GATHER_ENTRIES entries, and M^T (y - M x) from one dense product.  If
+    exactly k entries of |moved| reach tau, the smallest one on the old
+    support, those k are the old support, ties and all, and the top-k
+    partition is skipped.  ||x_next - x|| reads only entries that changed.
     """
     data = op.data
     rows, cols = data.shape
