@@ -213,11 +213,12 @@ def _pursue(data, ys, steps, residual_tol, x, flags):
     atom projected off Q (twice) leaves its squared distance from the
     span, the squared Cholesky pivot it adds to D_S^T D_S; one of at most
     _DEPENDENT_PIVOT times the largest squared atom norm flags
-    'regularized' and adds no basis vector.  The residual, y's least-squares residual throughout,
-    loses its part on each new basis vector.  The coefficients are solved
-    at the end from R x = Q^T y, or for a flagged column from _fit's ridged
-    normal equations (R^T R + ridge) x = R^T Q^T y.  Q holds columns x
-    steps x rows floats, so _omp passes chunks within GATHER_ENTRIES.
+    'regularized' and adds no basis vector.  The residual, y's
+    least-squares residual throughout, loses its part on each new basis
+    vector.  The coefficients are solved at the end from R x = Q^T y, or
+    for a flagged column from _fit's ridged normal equations
+    (R^T R + ridge) x = R^T Q^T y.  Q holds columns x steps x rows floats,
+    so _omp passes chunks within GATHER_ENTRIES.
     """
     rows, cols = data.shape
     resid = ys.T.copy()
