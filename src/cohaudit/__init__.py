@@ -59,11 +59,8 @@ from .ripcheck import (
     tail_check,
 )
 from .separation import (
-    JointRipReport,
     SeparationTrial,
     joint_dictionary,
-    joint_rip_check,
-    robust_recovery_trial,
     separate,
     separation_feasibility,
     separation_trial,
@@ -76,7 +73,6 @@ from .solvers import (
     TrialResult,
     bpdn,
     cosamp,
-    hard_threshold,
     iht,
     lasso,
     omp,

@@ -206,16 +206,16 @@ def require_normalized(matrix, name="matrix"):
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
 
 
-def coherence_sample(matrix, block_cols=None):
+def coherence_sample(matrix):
     """The N(N-1)/2 pairwise column inner products, read in Gram strips.
 
     Pairs are ordered lexicographically: (0,1), (0,2), ..., (1,2), ...
-    A strip spans block_cols Gram rows (default: a fixed budget of
-    entries per strip).  Requires unit-norm columns.
+    A strip spans _STRIP_BUDGET // N Gram rows (at least one).  Requires
+    unit-norm columns.
     """
     require_normalized(matrix)
     data, N = matrix.data, matrix.cols
-    w = block_cols or max(1, _STRIP_BUDGET // max(N, 1))
+    w = max(1, _STRIP_BUDGET // max(N, 1))
     # Gram rows a..a+w-1 from column a on, whose pairs lie right of the diagonal
     # (row N-1 has none)
     return CoherenceSample(lambda: ((data[:, a:a + w].T @ data[:, a:], True)
@@ -266,12 +266,12 @@ def normality_check(sample):
                      passed=passed)
 
 
-def cross_coherence(left, right, block_cols=None):
+def cross_coherence(left, right):
     """Statistics of the inner products between two dictionaries' columns.
 
     Covers all cols(left) * cols(right) ordered pairs, read in strips of
-    block_cols left columns.  Either side may be empty, giving a zero
-    profile with sample_count 0.
+    _STRIP_BUDGET // cols(right) left columns (at least one).  Either side
+    may be empty, giving a zero profile with sample_count 0.
     """
     if left.rows != right.rows:
         raise DimensionError(
@@ -281,7 +281,7 @@ def cross_coherence(left, right, block_cols=None):
     total = left.cols * right.cols
     if total == 0:
         return CrossCoherenceProfile(max_cross=0.0, std=0.0, mean=0.0, sample_count=0)
-    w = block_cols or max(1, _STRIP_BUDGET // right.cols)
+    w = max(1, _STRIP_BUDGET // right.cols)
     st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data, False)
                                for a in range(0, left.cols, w)), total)
     return CrossCoherenceProfile(max_cross=st.mutual_coherence, std=st.std, mean=st.mean,

@@ -96,11 +96,6 @@ def _columns(data, idx):
     return gathered.transpose(*range(1, gathered.ndim), 0)
 
 
-def _images(data, supports, coeffs):
-    """D_S c for each row (S, c) of a chunk, as a (chunk, rows) array."""
-    return np.einsum("tkr,tk->tr", _columns(data, supports), coeffs)
-
-
 def _row_dot(a, b):
     return np.einsum("tr,tr->t", a, b)
 

@@ -1,4 +1,4 @@
-"""Two-dictionary separation and corruption-robust recovery.
+"""Two-dictionary separation.
 
 A signal sparse in dictionary D plus a disturbance sparse in dictionary
 B, y = D x + B e + n, is recovered jointly: separate(D, B, y, epsilon)
@@ -16,7 +16,6 @@ from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, _adopt, _normalize_in_place, real_fourier_frame
 from .errors import DimensionError, DomainError
-from .ripcheck import BAND_ROUNDING, _block_draws, _chunks, _images, _map_blocks, _row_dot
 from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
 from .util import parallel_map
 
@@ -29,15 +28,6 @@ class SeparationTrial:
     e_support_ok: bool
     residual_norm: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class JointRipReport:
-    in_band: float
-    in_band_pair_scaled: float
-    trials: int
-    max_energy_gap: float
-    condition: object
 
 
 def joint_dictionary(left, right):
@@ -83,18 +73,25 @@ def spikes_fourier_pair(n):
     return spikes, waves
 
 
-def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, *, threads=1,
-                    e_scale=1.0):
-    """Plant trials from the x, e and noise streams named by tags; solve all on one joint."""
+def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, threads=1):
+    """Planted separation experiments 0 to trials - 1 at seed.
+
+    Each draws n_x atoms of left and n_e of right with Gaussian values,
+    mixes, optionally adds noise, separates on [left right] at phase's
+    bpdn budget, and scores both components.  Trial i is row i of one
+    block of keyed draws, so a shorter run is a prefix of a longer one at
+    any thread count.
+    """
     joint = joint_dictionary(left, right)
     if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
         raise DomainError(f"n_x={n_x}, n_e={n_e} do not fit {left.cols} and {right.cols} columns")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    zs = np.vstack([_plant(seed, tags[0], n_x, left.cols, trials),
-                    e_scale * _plant(seed, tags[1], n_e, right.cols, trials)])
+    zs = np.vstack([_plant(seed, "separation-x", n_x, left.cols, trials),
+                    _plant(seed, "separation-e", n_e, right.cols, trials)])
     # one product per trial, so trial i's bits do not depend on the block's width
-    ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed, tags[2])
+    ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed,
+                  "separation-noise")
 
     def one(i):
         res = bpdn(joint, ys[:, i], _bpdn_epsilon(noise_sigma, left.rows))
@@ -106,77 +103,6 @@ def _planted_trials(left, right, n_x, n_e, trials, seed, tags, noise_sigma, *, t
     return parallel_map(one, range(trials), threads)
 
 
-def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, threads=1):
-    """Planted separation experiments 0 to trials - 1 at seed.
-
-    Each draws n_x atoms of left and n_e of right with Gaussian values,
-    mixes, optionally adds noise, separates on [left right] at phase's
-    bpdn budget, and scores both components.  Trial i is row i of one
-    block of keyed draws, so a shorter run is a prefix of a longer one at
-    any thread count.
-    """
-    return _planted_trials(left, right, n_x, n_e, trials, seed,
-                           ("separation-x", "separation-e", "separation-noise"),
-                           noise_sigma, threads=threads)
-
-
 def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0):
     """Trial 0 of separation_trials at seed: one planted separation experiment."""
     return separation_trials(left, right, n_x, n_e, 1, seed, noise_sigma)[0]
-
-
-def robust_recovery_trial(matrix, k, n_corruptions, noise_sigma, seed):
-    """Recovery under gross measurement corruption.
-
-    The measurement picks up n_corruptions spike errors of typical size
-    10 on top of optional dense Gaussian noise; recovery stacks the
-    dictionary with the identity and separates.  The x fields of the
-    result describe the signal, the e fields the corruption.
-    """
-    n = matrix.rows
-    if not 0 <= n_corruptions <= n:
-        raise DimensionError(f"need 0 <= n_corruptions <= {n}, got {n_corruptions}")
-    return _planted_trials(matrix, MeasurementMatrix(np.eye(n)), k, n_corruptions, 1, seed,
-                           ("robust-signal", "robust-corruption", "robust-noise"),
-                           noise_sigma, e_scale=10.0)[0]
-
-
-def joint_rip_check(left, right, n_x, n_e, trials, seed, threads=1):
-    """Monte Carlo check of the joint energy band and the cross-energy identity.
-
-    Each trial plants a random (n_x, n_e)-sparse pair, computes the joint
-    energy ratio ||D x + B e||^2 / (||x||^2 + ||e||^2), and checks it
-    against 1 +- g for both the measured-band g and its pair-scaled
-    variant.  Also tracks the worst rounding gap of the decomposition
-    ||D x + B e||^2 = ||D x||^2 + ||B e||^2 + 2 <D x, B e>.
-    """
-    if left.rows != right.rows:
-        raise DimensionError(f"row mismatch: {left.rows} vs {right.rows}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
-        raise DomainError("sparsities must fit inside the dictionaries")
-    cond = separation_feasibility(left, right, n_x, n_e)
-
-    def block(j, size):
-        """Per trial of block j: the joint energy ratio and the rounding gap."""
-        sx, cx = _block_draws(seed, "joint-rip-x", n_x, left.cols, j, size)
-        se, ce = _block_draws(seed, "joint-rip-e", n_e, right.cols, j, size)
-        out = np.empty((size, 2))
-        for sl in _chunks(size, max(n_x, n_e), left.rows):
-            dx = _images(left.data, sx[sl], cx[sl])
-            be = _images(right.data, se[sl], ce[sl])
-            direct = _row_dot(dx + be, dx + be)
-            parts = _row_dot(dx, dx) + _row_dot(be, be) + 2.0 * _row_dot(dx, be)
-            out[sl, 0] = direct
-            out[sl, 1] = np.abs(direct - parts)
-        energy = _row_dot(cx, cx) + _row_dot(ce, ce)
-        out[:, 0] = np.divide(out[:, 0], energy, out=np.ones(size), where=energy > 0)
-        return out
-
-    ratios, gaps = _map_blocks(block, trials, threads).T
-    dev = np.abs(ratios - 1.0)
-    in_band = float(np.mean(dev <= cond.g_joint + BAND_ROUNDING))
-    in_band_pair = float(np.mean(dev <= cond.g_joint_pair_scaled + BAND_ROUNDING))
-    return JointRipReport(in_band=in_band, in_band_pair_scaled=in_band_pair, trials=trials,
-                          max_energy_gap=float(np.max(gaps)), condition=cond)

@@ -156,13 +156,6 @@ def _top_k(mag, k):
     return keep
 
 
-def hard_threshold(v, k):
-    """Keep the k largest-magnitude entries, ties resolved to lower index."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return np.where(_top_k(np.abs(v), k), v, 0.0)
-
-
 def _results(estimates, iterations, rnorms, converged, flags):
     return [SolveResult(estimate=estimates[:, t], iterations=int(iterations[t]),
                         residual_norm=float(rnorms[t]), converged=bool(converged[t]),
@@ -542,9 +535,14 @@ def _plant(seed, purpose, k, cols, trials):
 def _observe(clean, noise_sigma, seed, *tags):
     """clean plus N(0, noise_sigma^2) from stream(seed, *tags); a block draws column by column."""
     _check_nonnegative("noise_sigma", noise_sigma)
-    if noise_sigma > 0:
-        return clean + noise_sigma * stream(seed, *tags).standard_normal(clean.shape[::-1]).T
-    return clean
+    if noise_sigma == 0:
+        return clean
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = clean + noise_sigma * stream(seed, *tags).standard_normal(clean.shape[::-1]).T
+        # the squared norm of every noisy column must be finite for the solvers' residuals
+        if not np.all(np.isfinite(np.einsum("i...,i...->...", noisy, noisy))):
+            raise DomainError(f"noise_sigma={noise_sigma!r} is too large: observations overflow")
+    return noisy
 
 
 def _score(estimate, truth, noise_sigma):

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import cohaudit
 from cohaudit import ENSEMBLES, EnsembleSpec, MeasurementMatrix, generate, save_matrix
-from cohaudit import cli, solvers
+from cohaudit import cli, separation, solvers
 from cohaudit.cli import main
 from cohaudit.solvers import SOLVERS
 
@@ -367,6 +368,25 @@ def unreachable(what):
     def fail(*args, **kwargs):
         raise AssertionError(f"{what} ran before the bad input was rejected")
     return fail
+
+
+@pytest.mark.parametrize("argv", [
+    *(["phase", "--ensemble", "gaussian", "--rows", "10", "--cols", "20", "--k-list", "2",
+       "--trials", "2", "--solver", solver] for solver in ("omp", "iht", "cosamp", "bpdn")),
+    ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1",
+     "--trials", "2"]], ids=["omp", "iht", "cosamp", "bpdn", "separate"])
+def test_noise_that_overflows_the_observations_is_one_data_error(monkeypatch, capsys, argv):
+    # finite noise so large that the noisy observations overflow is rejected
+    # before any solve, with no overflow warning and no fitted curve
+    for module, name in [(solvers, "_omp"), (solvers, "_iht"), (solvers, "_cosamp"),
+                         (solvers, "bpdn"), (separation, "bpdn")]:
+        monkeypatch.setattr(module, name, unreachable(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv + ["--noise", "1e308"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: noise_sigma=1e+308 is too large: observations overflow\n"
 
 
 @pytest.mark.parametrize("solver, k_list, limit", [("omp", "5,10,21", "min(rows, cols) = 20"),

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,18 @@ from cohaudit import (
     normalize_columns,
     profile,
 )
+from cohaudit import coherence
 from cohaudit.coherence import _BIN_CHUNK, _STRIP_BUDGET, _bin_counts
 from cohaudit.util import write_csv
+
+
+def strips_of(width, cols):
+    """Patch the strip budget so that strips against cols columns are width Gram rows wide.
+
+    A width of None keeps the default budget.
+    """
+    return mock.patch.object(coherence, "_STRIP_BUDGET",
+                             _STRIP_BUDGET if width is None else width * cols)
 
 
 def _one_strip(values, source_dims):
@@ -68,7 +79,8 @@ def test_sample_blockwise_matches_direct():
     # so equality holds to last-bit accuracy, not bitwise.
     m = generate(EnsembleSpec("gaussian", 25, 60, 4))
     direct = coherence_sample(m)
-    blocked = coherence_sample(m, block_cols=7)
+    with strips_of(7, m.cols):
+        blocked = coherence_sample(m)
     assert direct.values.shape == blocked.values.shape
     assert np.allclose(direct.values, blocked.values, rtol=0.0, atol=1e-14)
 
@@ -229,7 +241,8 @@ def test_cross_blockwise_matches_direct():
     a = generate(EnsembleSpec("gaussian", 20, 30, 1))
     b = generate(EnsembleSpec("gaussian", 20, 25, 2))
     direct = cross_coherence(a, b)
-    blocked = cross_coherence(a, b, block_cols=4)
+    with strips_of(4, b.cols):
+        blocked = cross_coherence(a, b)
     assert np.isclose(direct.max_cross, blocked.max_cross, atol=1e-15)
     assert np.isclose(direct.std, blocked.std, atol=1e-12)
 
@@ -252,8 +265,8 @@ def test_cross_std_nearly_parallel_nonnegative():
 def test_streamed_statistics_match_materialised(ensemble, rows, cols, seed, data):
     block = data.draw(st.integers(1, cols))
     bins = data.draw(st.none() | st.integers(1, 30))
-    streamed = coherence_sample(generate(EnsembleSpec(ensemble, rows, cols, seed)),
-                                block_cols=block)
+    with strips_of(block, cols):
+        streamed = coherence_sample(generate(EnsembleSpec(ensemble, rows, cols, seed)))
     whole = _one_strip(streamed.values, (rows, cols))
     a, b = profile(streamed, bins=bins), profile(whole, bins=bins)
     one_strip = block >= cols - 1
@@ -286,7 +299,8 @@ def _nearly_parallel(rows, cols):
                          ids=["gaussian", "bernoulli", "nearly-parallel"])
 @pytest.mark.parametrize("block", [1, 3, 11, None])
 def test_moments_match_fsum_oracle(matrix, block):
-    s = coherence_sample(matrix, block_cols=block)
+    with strips_of(block, matrix.cols):
+        s = coherence_sample(matrix)
     v = [float(x) for x in s.values]
     mean = math.fsum(v) / len(v)
     m2 = math.fsum((x - mean) ** 2 for x in v) / len(v)
@@ -300,7 +314,8 @@ def test_moments_match_fsum_oracle(matrix, block):
 @pytest.mark.parametrize("matrix", [generate(EnsembleSpec("gaussian", 30, 70, 5)),
                                     _nearly_parallel(50, 40)])
 def test_one_strip_is_bitwise_the_materialised_sample(matrix):
-    streamed = coherence_sample(matrix, block_cols=matrix.cols)
+    with strips_of(matrix.cols, matrix.cols):
+        streamed = coherence_sample(matrix)
     whole = _one_strip(streamed.values, matrix.data.shape)
     assert profile(streamed) == profile(whole)
     assert normality_check(streamed) == normality_check(whole)
@@ -308,7 +323,8 @@ def test_one_strip_is_bitwise_the_materialised_sample(matrix):
 
 def test_profile_and_normality_share_two_gram_passes():
     passes = []
-    s = coherence_sample(generate(EnsembleSpec("gaussian", 20, 40, 3)), block_cols=9)
+    with strips_of(9, 40):
+        s = coherence_sample(generate(EnsembleSpec("gaussian", 20, 40, 3)))
     strips = s._strips
     s._strips = lambda: passes.append(1) or strips()
     profile(s, bins=7)
@@ -319,7 +335,8 @@ def test_profile_and_normality_share_two_gram_passes():
 def test_statistics_leave_each_strips_non_pairs_as_computed():
     # the diagonal and the entries below it are read by no statistic, nor written
     m = generate(EnsembleSpec("gaussian", 20, 40, 3))
-    s = coherence_sample(m, block_cols=9)  # 5 strips
+    with strips_of(9, m.cols):
+        s = coherence_sample(m)  # 5 strips
     seen, strips = [], s._strips
 
     def kept_strips():
@@ -381,7 +398,8 @@ def test_non_pairs_of_a_strip_reach_no_statistic(block):
     # every pair is negative, so a diagonal 1 or a 0 left in a strip moves the
     # maximum, the histogram range or its counts
     m = _obtuse_simplex(30)
-    s = coherence_sample(m, block_cols=block)
+    with strips_of(block, m.cols):
+        s = coherence_sample(m)
     v = s.values
     assert v.max() < -0.02
     a, b = profile(s, bins=16), profile(_one_strip(v, m.data.shape), bins=16)
@@ -446,7 +464,8 @@ def test_histogram_of_tied_pairs_is_numpys(rows):
     # bins put edges on them: every strip's ties go through the counter's
     # correction, in both of its pair parts
     m = generate(EnsembleSpec("bernoulli", rows, 200, 4))
-    s = coherence_sample(m, block_cols=16)  # 13 strips
+    with strips_of(16, m.cols):
+        s = coherence_sample(m)  # 13 strips
     v = s.values
     lo, hi = float(v.min()), float(v.max())
     steps = round((hi - lo) * rows)

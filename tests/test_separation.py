@@ -13,8 +13,6 @@ from cohaudit import (
     coherence_sample,
     generate,
     joint_dictionary,
-    joint_rip_check,
-    robust_recovery_trial,
     separate,
     separation,
     separation_feasibility,
@@ -233,70 +231,18 @@ def test_separation_feasibility_spikes_fourier():
 
 
 def test_separation_feasibility_full_corruption():
+    # with every measurement corrupted the signal is unidentifiable, and the
+    # margin of the pair says so
     d, b = spikes_fourier_pair(128)
     cond = separation_feasibility(d, b, 4, 128)
     assert cond.margin <= 0.0
     assert not cond.ok
-
-
-def test_robust_recovery_no_corruption():
-    m = generate(EnsembleSpec("gaussian", 64, 128, 12))
-    trial = robust_recovery_trial(m, 4, 0, 0.0, 77)
-    assert trial.x_rel_error <= 1e-4
-    assert trial.x_support_ok
-
-
-def test_robust_recovery_with_corruptions():
-    m = generate(EnsembleSpec("gaussian", 64, 128, 12))
-    hits = 0
-    for t in range(10):
-        trial = robust_recovery_trial(m, 4, 3, 0.0, 900 + t)
-        hits += trial.x_rel_error <= 1e-4
-    assert hits >= 8
-
-
-def test_robust_recovery_full_corruption_fails():
-    # with every measurement corrupted the signal is unidentifiable;
-    # the margin of the (matrix, identity) pair must also say so
     m = generate(EnsembleSpec("gaussian", 32, 64, 13))
-    fails = 0
-    for t in range(5):
-        trial = robust_recovery_trial(m, 3, 32, 0.0, 500 + t)
-        fails += trial.x_rel_error > 1e-2
-    assert fails >= 4
     assert separation_feasibility(m, MeasurementMatrix(np.eye(32)), 3, 32).margin < 0.0
 
 
-def test_robust_recovery_validates_counts():
-    m = generate(EnsembleSpec("gaussian", 16, 32, 1))
-    with pytest.raises(DimensionError):
-        robust_recovery_trial(m, 2, 17, 0.0, 0)
-
-
-def test_joint_rip_orthogonal_blocks_exact():
+def test_separation_feasibility_orthogonal_blocks():
     eye = np.eye(16)
-    left = MeasurementMatrix(eye[:, :8])
-    right = MeasurementMatrix(eye[:, 8:])
-    rep = joint_rip_check(left, right, 3, 3, 500, 4)
-    assert rep.in_band == 1.0
-    assert rep.max_energy_gap <= 1e-10
-    assert rep.condition.g_joint == 0.0  # zero spreads through and through
-
-
-def test_joint_rip_spikes_fourier_bands():
-    d, b = spikes_fourier_pair(128)
-    rep = joint_rip_check(d, b, 4, 4, 5000, 77)
-    # the tight band (one cross-sigma wide) catches most but not all mass;
-    # the pair-scaled band catches essentially everything
-    assert rep.in_band >= 0.65
-    assert rep.in_band_pair_scaled >= 0.85
-    assert rep.max_energy_gap <= 1e-10
-    assert rep.condition.ok
-
-
-def test_joint_rip_deterministic_across_threads():
-    d, b = spikes_fourier_pair(32)
-    a = joint_rip_check(d, b, 2, 2, 200, 9, threads=1)
-    c = joint_rip_check(d, b, 2, 2, 200, 9, threads=4)
-    assert a.in_band == c.in_band
-    assert a.max_energy_gap == c.max_energy_gap
+    cond = separation_feasibility(MeasurementMatrix(eye[:, :8]), MeasurementMatrix(eye[:, 8:]),
+                                  3, 3)
+    assert cond.g_joint == 0.0  # zero spreads through and through

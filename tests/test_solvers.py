@@ -14,7 +14,6 @@ from cohaudit import (
     bpdn,
     cosamp,
     generate,
-    hard_threshold,
     iht,
     lasso,
     omp,
@@ -28,12 +27,6 @@ from cohaudit.ripcheck import GATHER_ENTRIES
 from test_ripcheck import traced_peak
 
 
-def test_hard_threshold_ties_pick_lower_index():
-    out = hard_threshold(np.array([1.0, -1.0, 1.0, 0.5]), 2)
-    assert np.array_equal(out, [1.0, -1.0, 0.0, 0.0])
-    assert np.array_equal(hard_threshold(np.array([1.0, 2.0]), 0), [0.0, 0.0])
-
-
 def tied(size, max_size):
     """Integer-valued vectors: few distinct magnitudes, so many ties."""
     return st.lists(st.integers(-3, 3).map(float), min_size=size, max_size=max_size)
@@ -45,7 +38,6 @@ def test_top_k_ties_match_lexsort(v, k):
     v = np.array(v)
     keep = np.flatnonzero(solvers._top_k(np.abs(v), k))
     assert keep.tolist() == sorted(np.lexsort((np.arange(v.size), -np.abs(v)))[:k])
-    assert np.array_equal(hard_threshold(v, k), ref.hard_threshold(v, k))
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +117,7 @@ def test_iht_identity_one_step():
     assert np.array_equal(res.estimate, y)
     assert res.converged
     assert res.iterations <= 2
-    assert np.array_equal(res.estimate, hard_threshold(m.data.T @ y, 2))
+    assert np.array_equal(res.estimate, ref.hard_threshold(m.data.T @ y, 2))
 
 
 @pytest.mark.parametrize("dictionary", ["gaussian", "spikes"])
