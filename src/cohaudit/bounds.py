@@ -110,16 +110,15 @@ def coherence_band_probability(k, sigma):
     return min(1.0, max(0.0, p))
 
 
-def energy_deviation_tail(t, k, sigma, x_norm2=1.0):
-    """Upper bound on Pr(| ||Dx||^2 - ||x||^2 | > t) for a fixed k-sparse x.
+def energy_deviation_tail(t, k, sigma):
+    """Upper bound on Pr(| ||Dx||^2 - 1 | > t) for a fixed k-sparse unit x.
 
-    Scalar Bernstein bound 2 exp(-t^2 / (2 sigma^2 (k-1) ||x||^4)),
-    clamped to [0, 1].
+    Scalar Bernstein bound 2 exp(-t^2 / (2 sigma^2 (k-1))), clamped to
+    [0, 1].  It is for ||x|| = 1: verify's energy ratios ||Dx||^2 / ||x||^2
+    are already normalised by ||x||^2.
     """
     _check_tail_domain(t, k, sigma)
-    if x_norm2 <= 0.0:
-        raise DomainError(f"x_norm2 must be positive, got {x_norm2}")
-    expo = -t * t / (2.0 * sigma * sigma * (k - 1) * x_norm2**4)
+    expo = -t * t / (2.0 * sigma * sigma * (k - 1))
     return min(1.0, 2.0 * math.exp(expo))
 
 

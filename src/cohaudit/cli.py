@@ -35,8 +35,8 @@ EXIT_VERIFY = 3
 def _add_source_args(sub):
     sub.add_argument("--matrix", help="path to a matrix file (csv or binary)")
     sub.add_argument("--ensemble", choices=ENSEMBLES, help="generate instead of load")
-    sub.add_argument("--rows", type=int, help="rows for --ensemble")
-    sub.add_argument("--cols", type=int, help="cols for --ensemble")
+    sub.add_argument("--rows", type=_int, help="rows for --ensemble")
+    sub.add_argument("--cols", type=_int, help="cols for --ensemble")
 
 
 def _int(text):
@@ -167,7 +167,7 @@ def run_verify(args, parser):
     if sigma > 0.0 and k >= 2:
         ratio_points = tail_check(
             ratios, [m * g_energy for m in multipliers],
-            lambda t: energy_deviation_tail(t, k, sigma, 1.0))
+            lambda t: energy_deviation_tail(t, k, sigma))
         spectral_points = tail_check(
             spectral, [m * g_spectral for m in multipliers],
             lambda t: spectral_deviation_tail(t, k, sigma))
@@ -307,7 +307,7 @@ def build_parser():
     p_verify = subs.add_parser("verify", help="empirical band and tail checks")
     _add_source_args(p_verify)
     _add_common_args(p_verify)
-    p_verify.add_argument("--k", type=int, required=True, help="support size")
+    p_verify.add_argument("--k", type=_int, required=True, help="support size")
     p_verify.add_argument("--trials", type=_positive_int, default=2000,
                           help="energy-ratio trials (default 2000)")
     p_verify.add_argument("--spectral-trials", type=_positive_int, default=None,
@@ -337,11 +337,11 @@ def build_parser():
     _add_common_args(p_sep)
     p_sep.add_argument("--preset", choices=("spikes-fourier",),
                        help="built-in dictionary pair")
-    p_sep.add_argument("--n", type=int, help="dimension for --preset")
+    p_sep.add_argument("--n", type=_int, help="dimension for --preset")
     p_sep.add_argument("--matrix-d", help="signal dictionary file")
     p_sep.add_argument("--matrix-b", help="disturbance dictionary file")
-    p_sep.add_argument("--nx", type=int, required=True, help="signal sparsity")
-    p_sep.add_argument("--ne", type=int, required=True, help="disturbance sparsity")
+    p_sep.add_argument("--nx", type=_int, required=True, help="signal sparsity")
+    p_sep.add_argument("--ne", type=_int, required=True, help="disturbance sparsity")
     p_sep.add_argument("--trials", type=_positive_int, default=50)
     p_sep.add_argument("--noise", type=float, default=0.0)
     p_sep.add_argument("--csv", help="also write per-trial errors as CSV")

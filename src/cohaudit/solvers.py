@@ -31,6 +31,12 @@ NOISELESS_SUCCESS_TOL = 1e-4
 _RIDGE = 1e-12
 _DEPENDENT_PIVOT = 1e-8
 
+# Fixed stopping rules: IHT's iteration cap and the move below which its
+# iterate counts as converged, and CoSaMP's iteration cap.
+_IHT_MAX_ITER = 1000
+_IHT_TOL = 1e-10
+_COSAMP_MAX_ITER = 100
+
 
 @dataclass
 class SolveResult:
@@ -163,43 +169,38 @@ def _results(estimates, iterations, rnorms, converged, flags):
             for t in range(estimates.shape[1])]
 
 
-def omp(matrix, y, k=None, residual_tol=None):
+def omp(matrix, y, k):
     """Orthogonal matching pursuit: each step fits y by least squares on the atoms chosen.
 
-    Stops after k atoms, or when the residual norm drops to
-    residual_tol, whichever is requested (at least one must be).  Ties
-    in atom selection go to the lowest index.  A repeated selection
-    means the residual is orthogonal to every remaining atom; the solver
-    stops and flags 'stalled'.  A selection dependent on the atoms
-    already chosen is fitted with a small ridge and flagged 'regularized'.
+    Stops after k atoms, converged, unless it stalls first.  Ties in atom
+    selection go to the lowest index.  A repeated selection means the
+    residual is orthogonal to every remaining atom; the solver stops and
+    flags 'stalled'.  A selection dependent on the atoms already chosen
+    is fitted with a small ridge and flagged 'regularized'.
     """
     data, y = _operands(matrix, y)
-    return _omp(_Operand(data), y[:, None], k, residual_tol)[0]
+    return _omp(_Operand(data), y[:, None], k)[0]
 
 
-def _omp(op, ys, k=None, residual_tol=None):
+def _omp(op, ys, k):
     """omp on each column of ys, a chunk of columns at a time (see _pursue)."""
     data = op.data
-    if k is None and residual_tol is None:
-        raise ValueError("need a sparsity target k or a residual_tol")
-    if k is not None:
-        _check_k(k, "omp", *data.shape)
-    steps = k if k is not None else min(data.shape)
+    _check_k(k, "omp", *data.shape)
     x = np.zeros((data.shape[1], ys.shape[1]))
     iterations = np.zeros(ys.shape[1], dtype=int)
     rnorm = np.empty(ys.shape[1])
     flags = [[] for _ in iterations]
-    for sl in _chunks(ys.shape[1], steps, data.shape[0]):
-        iterations[sl], rnorm[sl] = _pursue(data, ys[:, sl], steps, residual_tol,
-                                            x[:, sl], flags[sl])
+    for sl in _chunks(ys.shape[1], k, data.shape[0]):
+        iterations[sl], rnorm[sl] = _pursue(data, ys[:, sl], k, x[:, sl], flags[sl])
     converged = (np.linalg.norm(ys, axis=0) == 0.0) | (iterations == k)
-    if residual_tol is not None:
-        converged |= rnorm <= residual_tol
     return _results(x, iterations, rnorm, converged, flags)
 
 
-def _pursue(data, ys, steps, residual_tol, x, flags):
+def _pursue(data, ys, steps, x, flags):
     """Up to steps omp atoms for each column of ys; fills x, returns (iterations, rnorm).
+
+    A column stops before steps atoms only if its y is zero or its pick
+    repeats an atom already chosen ('stalled').
 
     Each column grows an orthonormal basis Q of its atoms' span and the
     triangular R of D_S = Q R by one atom per step, in pick order.  The
@@ -216,8 +217,7 @@ def _pursue(data, ys, steps, residual_tol, x, flags):
     rows, cols = data.shape
     resid = ys.T.copy()
     size = resid.shape[0]
-    rnorm = np.linalg.norm(resid, axis=1)
-    live = rnorm > 0.0
+    live = np.linalg.norm(resid, axis=1) > 0.0
     iterations = np.zeros(size, dtype=int)
     basis = np.zeros((size, steps, rows))
     tri = np.tile(np.eye(steps), (size, 1, 1))  # dead columns' slots stay identity
@@ -227,8 +227,6 @@ def _pursue(data, ys, steps, residual_tol, x, flags):
     scale = np.zeros(size)
     dependent = np.zeros(size, dtype=bool)
     for s in range(steps):
-        if residual_tol is not None:
-            live &= rnorm > residual_tol
         pick = np.argmax(np.abs(resid @ data), axis=1)
         repeat = live & chosen[np.arange(size), pick]
         _flag(flags, np.flatnonzero(repeat), "stalled")
@@ -256,7 +254,6 @@ def _pursue(data, ys, steps, residual_tol, x, flags):
         picks[:, s] = pick
         proj[:, s] = _row_dot(q, resid)
         resid -= proj[:, s, None] * q
-        rnorm = np.linalg.norm(resid, axis=1)
         iterations += live
     eye = np.eye(steps)
     tri_t = tri.transpose(0, 2, 1)
@@ -266,21 +263,22 @@ def _pursue(data, ys, steps, residual_tol, x, flags):
     coef = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
     real = np.arange(steps) < iterations[:, None]
     x[picks[real], np.nonzero(real)[0]] = coef[real]
-    return iterations, rnorm
+    return iterations, np.linalg.norm(resid, axis=1)
 
 
-def iht(matrix, y, k, max_iter=1000, tol=1e-10):
+def iht(matrix, y, k):
     """Iterative hard thresholding x <- H_k(x + step M^T (y - M x)).
 
     The step is 1 / ||M||_2^2, at which the residual never grows
-    (Blumensath & Davies 2008).  Stops when the iterate moves less than
-    tol, or after max_iter iterations without converging.
+    (Blumensath & Davies 2008).  Stops, converged, when the iterate moves
+    less than _IHT_TOL (1e-10), or after _IHT_MAX_ITER (1000) iterations
+    without converging.
     """
     data, y = _operands(matrix, y)
-    return _iht(_Operand(data), y[:, None], k, max_iter, tol)[0]
+    return _iht(_Operand(data), y[:, None], k)[0]
 
 
-def _iht(op, ys, k, max_iter=1000, tol=1e-10):
+def _iht(op, ys, k):
     """iht on each column of ys, each iterate held as its k support indices and values.
 
     M x comes from the k support columns, gathered in chunks of at most
@@ -303,7 +301,7 @@ def _iht(op, ys, k, max_iter=1000, tol=1e-10):
     idx, live_ys = np.arange(size), ys.T
     sup, val = np.tile(np.arange(k), (size, 1)), np.zeros((size, k))
     lanes, chunks = np.arange(size)[:, None], _chunks(size, k, rows)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _IHT_MAX_ITER + 1):
         iterations[idx] = it
         fit = np.empty(live_ys.shape)
         for sl in chunks:
@@ -325,7 +323,7 @@ def _iht(op, ys, k, max_iter=1000, tol=1e-10):
             moved[lanes[:rest.size], old_sup] -= val[rest]  # x_next - x
             delta[rest] = _row_dot(moved, moved)
         val = new_val
-        done = np.sqrt(delta) <= tol
+        done = np.sqrt(delta) <= _IHT_TOL
         if done.any():
             support[idx[done]], values[idx[done]] = sup[done], val[done]
             converged[idx[done]] = True
@@ -340,19 +338,20 @@ def _iht(op, ys, k, max_iter=1000, tol=1e-10):
                     [[] for _ in iterations])
 
 
-def cosamp(matrix, y, k, max_iter=100):
+def cosamp(matrix, y, k):
     """CoSaMP: proxy, top-2k merge, least squares, prune to k.
 
     Returns the lowest-residual iterate seen.  Stops on a relative
-    residual of 1e-10 or when the residual stops improving ('stagnated').
-    A rank-deficient least-squares step is fitted with a small ridge and
+    residual of 1e-10 (converged), when the residual stops improving
+    ('stagnated'), or after _COSAMP_MAX_ITER (100) iterations.  A
+    rank-deficient least-squares step is fitted with a small ridge and
     flagged 'regularized'.
     """
     data, y = _operands(matrix, y)
-    return _cosamp(_Operand(data), y[:, None], k, max_iter)[0]
+    return _cosamp(_Operand(data), y[:, None], k)[0]
 
 
-def _cosamp(op, ys, k, max_iter=100):
+def _cosamp(op, ys, k):
     """cosamp on each column of ys; two matrix products and one block fit per step."""
     data = op.data
     _check_k(k, "cosamp", *data.shape)
@@ -366,7 +365,7 @@ def _cosamp(op, ys, k, max_iter=100):
     resid = ys.copy()
     corr_y = data.T @ ys
     idx = np.flatnonzero(~converged)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _COSAMP_MAX_ITER + 1):
         if idx.size == 0:
             break
         iterations[idx] = it
@@ -563,7 +562,7 @@ def _bpdn_epsilon(noise_sigma, rows):
     return 1.1 * noise_sigma * math.sqrt(rows) if noise_sigma > 0 else 0.0
 
 
-def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
+def _trials(op, k, solver, noise_sigma, seed, trials):
     """Planted trials 0 to trials - 1 at seed, solved together as the columns of Y."""
     rows, cols = op.data.shape
     _check_k(k, solver, rows, cols)
@@ -573,7 +572,7 @@ def _trials(op, k, solver, noise_sigma, seed, trials, options=None):
         solved = [bpdn(op.data, y, _bpdn_epsilon(noise_sigma, rows)) for y in ys.T]
     else:
         kernel = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver]
-        solved = kernel(op, ys, k, **(options or {}))
+        solved = kernel(op, ys, k)
     out = []
     for x, res in zip(truths.T, solved):
         rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)

@@ -100,7 +100,7 @@ def test_criterion_05_tail_domination():
     g_energy = rip_width(k, sigma, "energy")
     ratio_points = tail_check(
         ratios, [0.5 * g_energy, g_energy, 2.0 * g_energy],
-        lambda t: energy_deviation_tail(t, k, sigma, 1.0))
+        lambda t: energy_deviation_tail(t, k, sigma))
     spectral = sample_spectral(m, k, 2000, 42, threads=4)
     g_spectral = rip_width(k, sigma, "spectral")
     spectral_points = tail_check(

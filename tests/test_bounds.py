@@ -113,12 +113,6 @@ def test_energy_tail_clamped_and_monotone():
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-def test_energy_tail_grows_with_signal_norm():
-    a = energy_deviation_tail(0.3, 5, 0.1, x_norm2=1.0)
-    b = energy_deviation_tail(0.3, 5, 0.1, x_norm2=2.0)
-    assert b >= a
-
-
 def test_energy_tail_domain():
     with pytest.raises(DomainError):
         energy_deviation_tail(0.0, 5, 0.1)

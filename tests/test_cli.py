@@ -564,12 +564,19 @@ def test_counts_below_one_are_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "x"), ("--bins", "1.5"), ("--trials", "x"),
-                                         ("--spectral-trials", "2.0"), ("--threads", "two")])
+                                         ("--spectral-trials", "2.0"), ("--threads", "two"),
+                                         ("--rows", "x"), ("--cols", "1e3"), ("--k", "x"),
+                                         ("--n", "8.0"), ("--nx", "x"), ("--ne", "one")])
 def test_non_integer_counts_are_usage_errors_naming_the_flag(capsys, flag, value):
-    # argparse would otherwise print the name of the private type function
-    command = "audit" if flag == "--bins" else "verify"
-    argv = [command, "--ensemble", "gaussian", "--rows", "10", "--cols", "12", flag, value]
-    assert run_cli(argv + (["--k", "2"] if command == "verify" else [])) == 2
+    # argparse would otherwise print its generic "invalid int value", or the
+    # name of the private type function
+    if flag in ("--n", "--nx", "--ne"):
+        argv = ["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1"]
+    else:
+        command = "audit" if flag == "--bins" else "verify"
+        argv = [command, "--ensemble", "gaussian", "--rows", "10", "--cols", "12"] \
+            + (["--k", "2"] if command == "verify" else [])
+    assert run_cli(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected an integer, got {value!r}\n" in err
     assert "invalid _" not in err

@@ -200,3 +200,61 @@ def test_every_exported_function_is_reached():
     assert set(UNREACHED_EXPORTS) <= set(exported)
     assert [name for name in exported
             if not reads[name] and name not in UNREACHED_EXPORTS] == []
+
+
+# Defaulted parameters of exported functions that no call in the package
+# passes a value other than the default, and why each stays.
+UNSET_OPTIONS = {
+    "save_matrix.file_format": "file format",
+    "separation_trial.noise_sigma": "traced by perfbench LAYERS; draws trial 0 of a noisy run",
+}
+
+
+def unset_options(init_source, sources):
+    """Sorted 'function.parameter' of each exported function's defaulted parameter no call sets.
+
+    A call in sources sets a parameter by passing it, by position or by
+    keyword, any expression other than its default's.
+    """
+    exported = set(exported_functions(init_source, sources))
+    params = {}
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                                if d is not None)
+                params[node.name] = positional, {p: ast.dump(d) for p, d in defaults.items()}
+    passed = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in params:
+                continue
+            positional, defaults = params[name]
+            given = list(zip(positional, node.args)) + [(kw.arg, kw.value) for kw in node.keywords]
+            passed |= {(name, p) for p, value in given
+                       if p in defaults and ast.dump(value) != defaults[p]}
+    return sorted(f"{name}.{p}" for name, (_, defaults) in params.items()
+                  for p in defaults if (name, p) not in passed)
+
+
+def test_unset_options_are_found():
+    sources = {"a.py": "def f(x, n=1, mode='a', *, scale=2.0): pass\n"
+                       "def g(y=None): return f(y, 1, mode='b')\ndef _h(z=0): pass\n",
+               "b.py": "from . import a\ndef run(args): a.f(args.x, scale=2.0)\n"}
+    init = "from .a import f, g\nfrom .b import run\n"
+    assert unset_options(init, sources) == ["f.n", "f.scale", "g.y"]
+
+
+def test_every_option_is_set_by_a_command():
+    # a defaulted parameter that no call sets, and no allowlist reason keeps,
+    # is a knob with one value in use: it should be a constant
+    sources = {p.name: p.read_text() for p in SOURCES}
+    unset = unset_options((PACKAGE / "__init__.py").read_text(), sources)
+    assert set(UNSET_OPTIONS) <= set(unset)
+    assert [option for option in unset if option not in UNSET_OPTIONS] == []

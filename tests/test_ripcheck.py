@@ -159,7 +159,7 @@ def test_tail_domination_gaussian(gauss_200x400):
     g = rip_width(k, sigma, "energy")
     ratios = sample_ratios(gauss_200x400, k, 3000, 21)
     pts = tail_check(ratios, [0.5 * g, g, 2 * g],
-                     lambda t: energy_deviation_tail(t, k, sigma, 1.0))
+                     lambda t: energy_deviation_tail(t, k, sigma))
     assert all(p.ok for p in pts)
     gs = rip_width(5, sigma, "spectral")
     spectral = sample_spectral(gauss_200x400, 5, 1000, 22)
