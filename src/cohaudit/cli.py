@@ -204,8 +204,8 @@ def run_phase(args, parser):
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"bad --k-list {args.k_list!r}, expected comma-separated ints")
-    if not k_list or any(b <= a for a, b in zip(k_list, k_list[1:])):
-        parser.error("--k-list must be nonempty and strictly ascending")
+    if not k_list or k_list[0] < 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
+        parser.error(f"--k-list must be nonempty, >= 0 and strictly ascending: {args.k_list!r}")
     _check_nonnegative("noise_sigma", args.noise)
     matrix, source = _resolve_matrix(args, parser)
     # a matrix without a coherence profile fails here, before any trial

@@ -16,8 +16,7 @@ from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, _adopt, _normalize_in_place, real_fourier_frame
 from .errors import DimensionError, DomainError
-from .solvers import _bpdn_epsilon, _observe, _plant, _score, bpdn
-from .util import parallel_map
+from .solvers import _bpdn, _bpdn_epsilon, _observe, _plant, _score, bpdn
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,9 @@ def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, t
     Each draws n_x atoms of left and n_e of right with Gaussian values,
     mixes, optionally adds noise, separates on [left right] at phase's
     bpdn budget, and scores both components.  Trial i is row i of one
-    block of keyed draws, so a shorter run is a prefix of a longer one at
-    any thread count.
+    block of keyed draws, and its lockstep solve does not depend on the
+    trials it shares a run with, so a shorter run is a prefix of a
+    longer one at any thread count.
     """
     joint = joint_dictionary(left, right)
     if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
@@ -92,15 +92,14 @@ def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, t
     # one product per trial, so trial i's bits do not depend on the block's width
     ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed,
                   "separation-noise")
-
-    def one(i):
-        res = bpdn(joint, ys[:, i], _bpdn_epsilon(noise_sigma, left.rows))
-        x_rel, x_est, x_true = _score(res.estimate[:left.cols], zs[:left.cols, i], noise_sigma)
-        e_rel, e_est, e_true = _score(res.estimate[left.cols:], zs[left.cols:, i], noise_sigma)
-        return SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
-                               res.residual_norm, res.converged)
-
-    return parallel_map(one, range(trials), threads)
+    solved = _bpdn(joint.data, ys, _bpdn_epsilon(noise_sigma, left.rows), threads)
+    out = []
+    for res, z in zip(solved, zs.T):
+        x_rel, x_est, x_true = _score(res.estimate[:left.cols], z[:left.cols], noise_sigma)
+        e_rel, e_est, e_true = _score(res.estimate[left.cols:], z[left.cols:], noise_sigma)
+        out.append(SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
+                                   res.residual_norm, res.converged))
+    return out
 
 
 def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0):

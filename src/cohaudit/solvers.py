@@ -16,7 +16,7 @@ from ._streams import stream
 from .ensembles import MeasurementMatrix
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
-from .ripcheck import _block_draws, _chunks, _columns, _row_dot
+from .ripcheck import BLOCK_TRIALS, _block_draws, _chunks, _columns, _row_dot
 from .util import parallel_map
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
@@ -36,6 +36,10 @@ _DEPENDENT_PIVOT = 1e-8
 _IHT_MAX_ITER = 1000
 _IHT_TOL = 1e-10
 _COSAMP_MAX_ITER = 100
+
+# A lockstep bpdn run takes at most BLOCK_TRIALS columns, and at most this many
+# (column, atom) entries in each of its dense arrays (4 MB of float64).
+_RUN_ENTRIES = 2**19
 
 
 @dataclass
@@ -386,97 +390,148 @@ def _cosamp(op, ys, k):
     return _results(best, iterations, best_rnorm, converged, flags)
 
 
-def _path(data, y, epsilon, lam_stop):
-    """Follow the lasso path x(lam) down from lam = max |M^T y|, where x = 0.
+def _solve_each(a, b):
+    """np.linalg.solve on stacked systems; a singular system gets NaNs and leaves the others."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve_each(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
-    The path (homotopy: Osborne, Presnell & Turlach 2000; Donoho & Tsaig
-    2008) is linear between breakpoints where an atom joins the active set
-    or an active coefficient crosses zero; ||y - M x(lam)|| shrinks as lam
-    falls.  It stops where the residual reaches epsilon > 0, a closed-form
-    root in one segment, or at lam = lam_stop.  Each breakpoint re-solves
-    the active Gram system, so rounding does not accumulate.  A singular
-    active Gram ('singular-gram'), or over 10 breakpoints per column or an
-    emptied active set ('stalled'), stops at the last breakpoint.
 
-    Returns (x, residual, lam, breakpoints, flags, whether epsilon was reached).
+def _norms(rows):
+    """np.linalg.norm of each row, bit for bit: one BLAS dot per row."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _homotopy(data, ys, epsilon, lam_stop):
+    """The lasso paths x(lam) of the columns y of ys from lam = max |M^T y| down, in lockstep.
+
+    A path (homotopy: Osborne, Presnell & Turlach 2000; Donoho & Tsaig
+    2008) is linear between breakpoints where an atom joins or leaves the
+    active set, and re-solves the active Gram system at each, so rounding
+    does not accumulate.  It stops where ||y - M x|| reaches epsilon > 0
+    (x = 0 if ||y|| <= epsilon), at lam = lam_stop, or at the last
+    breakpoint before a singular Gram ('singular-gram'), an emptied active
+    set or 10 breakpoints per atom of M ('stalled').  A step takes each live
+    column one breakpoint on, with one product M^T [R V] and the Gram
+    systems solved stacked by size; every other product is the BLAS call a
+    lone column makes, so no column's result depends on its block.
+    Returns (x, residuals, lam, breakpoints, flag, reached), x by columns.
     """
     rows, cols = data.shape
-    corr = data.T @ y
-    lam = float(np.max(np.abs(corr), initial=0.0))
-    if not lam > lam_stop:
-        return np.zeros(cols), y, lam_stop, 0, [], False
-    active = [int(np.argmax(np.abs(corr)))]
-    signs = [float(np.sign(corr[active[0]]))]
-    # the last event may not be undone at once: a joining coefficient starts
-    # at zero, and a dropped atom sits on the boundary it left
-    joined, left = active[0], None
-    x, resid, lam_x, flags = np.zeros(cols), y, lam, []
-    for steps in range(1, 10 * cols + 1):
-        sub, s = data[:, active], np.array(signs)
-        try:
-            sol = np.linalg.solve(sub.T @ sub, np.column_stack([sub.T @ y - lam * s, s]))
-        except np.linalg.LinAlgError:
-            sol = np.full((len(active), 2), np.nan)
-        if not np.all(np.isfinite(sol)):
-            flags.append("singular-gram")
+    resid = ys.T.copy()  # rows; the residuals are written into it
+    corr = (data.T @ resid[:, :, None])[:, :, 0]
+    lam, size, cap = np.max(np.abs(corr), axis=1, initial=0.0), len(resid), max(min(rows, cols), 1)
+    # the point each column returns, x on its first p_n atoms p_act, its
+    # residual and lambda: at first where an empty path ends, x = 0 at lam_stop
+    p_act, p_coef, p_n = np.zeros((size, cap), int), np.zeros((size, cap)), np.zeros(size, int)
+    lam_x, steps = np.full(size, float(lam_stop)), np.zeros(size, int)
+    reached, flag = np.zeros(size, bool), np.full(size, "", object)
+    # the live columns, a row each: index, y, lam, active atoms and signs in
+    # join order (the first n_act), and the atom the last event dropped (its
+    # index + 1, signed; 0 after a join).  That event may not be undone at
+    # once: a joining coefficient (the last active) starts at zero, and a
+    # dropped atom sits on the boundary it left
+    idx = np.flatnonzero((lam > lam_stop) & (_norms(resid) > epsilon))
+    n, ys, lam, corr = idx.size, resid[idx], lam[idx], corr[idx]
+    act, sgn = np.zeros((n, cap), int), np.zeros((n, cap))
+    act[:, 0] = np.argmax(np.abs(corr), axis=1) if n else 0
+    sgn[:, 0] = np.sign(corr[np.arange(n), act[:, 0]])
+    n_act, left = np.ones(n, int), np.zeros(n, int)
+    for step in range(1, 10 * cols + 1):
+        if n == 0:
             break
-        coef, direction = sol.T
-        x = np.zeros(cols)
-        x[active] = coef
-        resid, lam_x = y - sub @ coef, lam
-        if lam == lam_stop:
-            break
+        width, sizes = n_act.max(), set(n_act.tolist())
+        coef, direction = np.zeros((n, width)), np.zeros((n, width))
+        fit, v, ok = np.empty((n, rows)), np.empty((n, rows)), np.ones(n, bool)
+        for m in sizes:
+            group = np.flatnonzero(n_act == m) if len(sizes) > 1 else np.arange(n)
+            for sl in _chunks(group.size, m, rows):
+                t = group[sl] if len(sizes) > 1 else sl
+                sub_t, s = data.T[act[t, :m]], sgn[t, :m]  # M[:, A].T, each t, C-ordered
+                sub, b = sub_t.transpose(0, 2, 1), np.empty(s.shape + (2,))
+                b[:, :, 0], b[:, :, 1] = (sub_t @ ys[t, :, None])[:, :, 0] - lam[t, None] * s, s
+                sol = _solve_each(sub_t @ sub, b)
+                good = np.isfinite(sol).all(axis=(1, 2))
+                if not good.all():
+                    sol[~good], ok[t] = 0.0, good
+                coef[t, :m], direction[t, :m] = sol[:, :, 0], sol[:, :, 1]
+                fit[t], v[t] = (sub @ sol[:, :, :1])[:, :, 0], (sub @ sol[:, :, 1:])[:, :, 0]
+        del sub_t, sub, b, sol  # a step holds its gathers or its (columns, atoms) arrays
+        # this breakpoint is the point to return; a singular one leaves the last
+        now, r = idx[ok], ys - fit
+        p_act[now], p_coef[now, :width], p_n[now] = act[ok], coef[ok], n_act[ok]
+        resid[now], lam_x[now], r[~ok], stop = r[ok], lam[ok], resid[idx[~ok]], lam == lam_stop
         # along the segment x_A += g d, r -= g v, c -= g a and lam -= g
-        v = sub @ direction
-        c, a = (data.T @ np.column_stack([resid, v])).T
+        ca = np.ascontiguousarray((data.T @ np.concatenate([r, v]).T).T)
+        c, a, lane, near = ca[:n], ca[n:], np.arange(n), 1e-9 * lam[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            drop = -coef / direction
-            # |c_j - g a_j| = lam - g from above or below; a column parallel
-            # to the active span has a zero denominator and never joins
-            up = np.where(1.0 - a > 1e-12, (lam - c) / (1.0 - a), np.inf)
-            down = np.where(1.0 + a > 1e-12, (lam + c) / (1.0 + a), np.inf)
+            drop = -coef / direction  # NaN, so never, past each column's n_act
+        # |c_j - g a_j| = lam - g from above or below; a column parallel
+        # to the active span has a zero denominator and never joins
+        up, down = np.full((n, cols), np.inf), np.full((n, cols), np.inf)
+        np.divide(lam[:, None] - c, 1.0 - a, out=up, where=1.0 - a > 1e-12)
+        np.divide(lam[:, None] + c, 1.0 + a, out=down, where=1.0 + a > 1e-12)
+        del ca, c, a
         # an event within rounding of the current point (a tie) happens at it,
         # and a coefficient zero to rounding leaves only toward the wrong sign
-        near = 1e-9 * lam
         for g in (drop, up, down):
             g[(g >= -near) & (g <= 0.0)] = 0.0
             g[~(g >= 0.0)] = np.inf
-        drop[(drop <= near) & (direction * s > 0)] = np.inf
-        if joined is not None:
-            drop[active.index(joined)] = np.inf
-        if left is not None:
-            (up if left[1] > 0 else down)[left[0]] = np.inf
-        join = np.minimum(up, down)
-        join[active] = np.inf
-        i, j = int(np.argmin(drop)), int(np.argmin(join))
+        drop[(drop <= near) & (direction * sgn[:, :width] > 0)] = np.inf
+        drop[lane[left == 0], n_act[left == 0] - 1] = np.inf
+        up[lane[left > 0], left[left > 0] - 1] = np.inf
+        down[lane[left < 0], -left[left < 0] - 1] = np.inf
+        join, on = np.minimum(up, down), np.arange(width) < n_act[:, None]
+        join[np.nonzero(on)[0], act[:, :width][on]] = np.inf
+        i, j = np.argmin(drop, axis=1), np.argmin(join, axis=1)
         # once the active columns span R^rows no atom can join
-        gamma = min(drop[i], join[j] if len(active) < rows else np.inf)
+        first_drop, first_join = drop[lane, i], np.where(n_act < rows, join[lane, j], np.inf)
+        gamma = np.where(first_join < first_drop, first_join, first_drop)
+        # an event within rounding of the endpoint is the endpoint
         end = gamma >= (1.0 - 1e-9) * (lam - lam_stop)
-        if end:
-            gamma = lam - lam_stop  # an event within rounding of the endpoint is the endpoint
-        if epsilon > 0.0 and np.linalg.norm(resid - gamma * v) <= epsilon:
+        gamma = np.where(end, lam - lam_stop, gamma)
+        hit = ok & ~stop & (epsilon > 0.0)
+        if epsilon > 0.0:
+            hit &= _norms(r - gamma[:, None] * v) <= epsilon
+        for q in np.flatnonzero(hit):
             # smaller root of ||r - g v||^2 = epsilon^2, in cancellation-free form
-            excess = float(resid @ resid) - epsilon * epsilon
-            rv, vv = float(resid @ v), float(v @ v)
-            w = resid - (rv / vv) * v  # discriminant vv (eps^2 - |w|^2), accurate for eps << |r|
+            p, rq, vq, m = idx[q], r[q], v[q], n_act[q]
+            excess = float(rq @ rq) - epsilon * epsilon
+            rv, vv = float(rq @ vq), float(vq @ vq)
+            w = rq - (rv / vv) * vq  # discriminant vv (eps^2 - |w|^2), accurate for eps << |r|
             root = excess / (rv + math.sqrt(max(vv * (epsilon * epsilon - w @ w), 0.0)))
-            x[active] = coef + root * direction
-            return x, y - sub @ x[active], lam - root, steps, flags, True
-        lam = lam_stop if end else lam - gamma
-        if lam == lam_stop:
-            continue
-        if gamma == drop[i]:
-            joined, left = None, (active.pop(i), signs.pop(i))
-            if not active:  # x(lam) is nonzero below max |M^T y|: only rounding gets here
-                flags.append("stalled")
-                break
-        else:
-            joined, left = j, None
-            active.append(j)
-            signs.append(1.0 if up[j] <= down[j] else -1.0)
-    else:
-        flags.append("stalled")
-    return x, resid, lam_x, steps, flags, False
+            p_coef[p, :m] = coef[q, :m] + root * direction[q, :m]
+            resid[p], lam_x[p] = ys[q] - data[:, act[q, :m]] @ p_coef[p, :m], lam[q] - root
+        lam = np.where(end, lam_stop, lam - gamma)
+        going = ok & ~stop & ~hit & (lam != lam_stop)
+        dropped = going & (gamma == first_drop)
+        if dropped.any():
+            d, i = np.flatnonzero(dropped), i[dropped]
+            left[d] = (act[d, i] + 1) * sgn[d, i].astype(int)
+            kept = np.arange(cap) != i[:, None]
+            act[d, :-1], sgn[d, :-1] = (arr[d][kept].reshape(d.size, -1) for arr in (act, sgn))
+            n_act[d] -= 1
+        joins = going & ~dropped
+        if joins.any():
+            q, j = np.flatnonzero(joins), j[joins]
+            sgn[q, n_act[q]] = np.where(up[q, j] <= down[q, j], 1.0, -1.0)
+            act[q, n_act[q]], n_act[q], left[q] = j, n_act[q] + 1, 0
+        del up, down, join
+        # x(lam) is nonzero below max |M^T y|: only rounding empties the active set
+        done = ~ok | stop | hit | (n_act == 0)
+        if done.any():
+            steps[idx[done]], reached[idx[done]] = step, hit[done]
+            flag[idx[~ok]], flag[idx[n_act == 0]] = "singular-gram", "stalled"
+            idx, ys, lam, act, sgn, n_act, left = (
+                arr[~done] for arr in (idx, ys, lam, act, sgn, n_act, left))
+            n = idx.size
+    steps[idx], flag[idx] = 10 * cols, "stalled"
+    x, (r, k) = np.zeros((cols, size)), np.nonzero(np.arange(cap) < p_n[:, None])
+    x[p_act[r, k], r] = p_coef[r, k]
+    return x, resid, lam_x, steps, flag, reached
 
 
 def lasso(matrix, y, lam):
@@ -487,10 +542,10 @@ def lasso(matrix, y, lam):
     """
     data, y = _operands(matrix, y)
     _check_nonnegative("lam", lam)
-    x, resid, _, steps, flags, _ = _path(data, y, 0.0, lam)
-    return SolveResult(estimate=x, iterations=steps,
-                       residual_norm=float(np.linalg.norm(resid)),
-                       converged=not flags, flags=tuple(flags), info={"lam": lam})
+    x, resid, _, steps, flag, _ = _homotopy(data, y[:, None], 0.0, lam)
+    return SolveResult(estimate=x[:, 0], iterations=int(steps[0]),
+                       residual_norm=float(_norms(resid)[0]), converged=not flag[0],
+                       flags=(flag[0],) if flag[0] else (), info={"lam": lam})
 
 
 def bpdn(matrix, y, epsilon):
@@ -507,20 +562,29 @@ def bpdn(matrix, y, epsilon):
     """
     data, y = _operands(matrix, y)
     _check_nonnegative("epsilon", epsilon)
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0 or epsilon >= ynorm:
-        return SolveResult(estimate=np.zeros(data.shape[1]), iterations=0,
-                           residual_norm=ynorm, converged=True,
-                           flags=("zero-solution",) if epsilon >= ynorm and ynorm > 0 else (),
-                           info={"lam": 0.0})
-    x, resid, lam, steps, flags, reached = _path(data, y, epsilon, 0.0)
-    rnorm = float(np.linalg.norm(resid))
-    # no breakpoint: y is orthogonal to every column (or not finite)
-    reached = reached or steps > 0 and rnorm <= max(epsilon, 1e-9 * ynorm)
-    if not reached and not flags:
-        flags.append("infeasible-epsilon")
-    return SolveResult(estimate=x, iterations=steps, residual_norm=rnorm,
-                       converged=reached, flags=tuple(flags), info={"lam": float(lam)})
+    return _bpdn(data, y[:, None], epsilon)[0]
+
+
+def _bpdn(data, ys, epsilon, threads=1):
+    """bpdn on each column of ys: on a lockstep _homotopy per run of consecutive
+    columns, the runs shared out to threads."""
+    size, most = ys.shape[1], min(BLOCK_TRIALS, max(1, _RUN_ENTRIES // max(data.shape[1], 1)))
+    runs = np.array_split(np.arange(size), max(min(threads, size), -(-size // most)))
+    if len(runs) > 1:
+        return [res for run in parallel_map(lambda run: _bpdn(data, ys[:, run], epsilon), runs,
+                                            threads) for res in run]
+    ynorm = _norms(np.ascontiguousarray(ys.T)).tolist()
+    x, resid, lam, steps, flag, reached = _homotopy(data, ys, epsilon, 0.0)
+    out = []
+    for t, rnorm in enumerate(_norms(resid).tolist()):
+        zero = ynorm[t] == 0.0 or epsilon >= ynorm[t]
+        # no breakpoint: y is orthogonal to every column (or not finite)
+        ok = zero or reached[t] or steps[t] > 0 and rnorm <= max(epsilon, 1e-9 * ynorm[t])
+        flags = ("zero-solution",) if zero and ynorm[t] > 0 else (flag[t],) if flag[t] else \
+            () if ok else ("infeasible-epsilon",)
+        out.append(SolveResult(estimate=x[:, t], iterations=int(steps[t]), residual_norm=rnorm,
+                               converged=bool(ok), flags=flags, info={"lam": float(lam[t])}))
+    return out
 
 
 def _plant(seed, purpose, k, cols, trials):
@@ -562,30 +626,47 @@ def _bpdn_epsilon(noise_sigma, rows):
     return 1.1 * noise_sigma * math.sqrt(rows) if noise_sigma > 0 else 0.0
 
 
-def _trials(op, k, solver, noise_sigma, seed, trials):
-    """Planted trials 0 to trials - 1 at seed, solved together as the columns of Y."""
+def _trials(op, k_list, solver, noise_sigma, seed, trials, threads=1):
+    """Planted trials 0 to trials - 1 at seed for each k: a list of TrialResults per k.
+
+    The trials of one k are solved together as the columns of one block,
+    threads sharing out whole k; bpdn, which takes no k, solves the trials
+    of every k together on its lockstep path.
+    """
     rows, cols = op.data.shape
-    _check_k(k, solver, rows, cols)
-    truths = _plant(seed, "signal", k, cols, trials)
-    ys = _observe(op.data @ truths, noise_sigma, seed, "noise", k)
-    if solver == "bpdn":
-        solved = [bpdn(op.data, y, _bpdn_epsilon(noise_sigma, rows)) for y in ys.T]
-    else:
-        kernel = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver]
-        solved = kernel(op, ys, k)
-    out = []
-    for x, res in zip(truths.T, solved):
-        rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
-        hits = len(est_sup & true_sup)
-        precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
-        recall = hits / len(true_sup) if true_sup else 1.0
-        success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
-        out.append(TrialResult(solver=solver, rel_error=rel,
-                               support_precision=precision, support_recall=recall,
-                               success=success, iterations=res.iterations,
-                               residual_norm=res.residual_norm,
-                               converged=res.converged, flags=res.flags))
-    return out
+    for k in k_list:
+        _check_k(k, solver, rows, cols)
+
+    def planted(k):
+        truths = _plant(seed, "signal", k, cols, trials)
+        return truths, _observe(op.data @ truths, noise_sigma, seed, "noise", k)
+
+    def scored(truths, solved):
+        out = []
+        for x, res in zip(truths.T, solved):
+            rel, est_sup, true_sup = _score(res.estimate, x, noise_sigma)
+            hits = len(est_sup & true_sup)
+            precision = hits / len(est_sup) if est_sup else (1.0 if not true_sup else 0.0)
+            recall = hits / len(true_sup) if true_sup else 1.0
+            success = rel <= NOISELESS_SUCCESS_TOL if noise_sigma == 0 else est_sup == true_sup
+            out.append(TrialResult(solver=solver, rel_error=rel,
+                                   support_precision=precision, support_recall=recall,
+                                   success=success, iterations=res.iterations,
+                                   residual_norm=res.residual_norm,
+                                   converged=res.converged, flags=res.flags))
+        return out
+
+    def solved(k):  # each k's estimates are scored and dropped before the next k's
+        truths, ys = planted(k)
+        return scored(truths, {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver](op, ys, k))
+
+    if solver != "bpdn":
+        return parallel_map(solved, k_list, threads)
+    blocks = [planted(k) for k in k_list]
+    flat = _bpdn(op.data, np.hstack([ys for _, ys in blocks]), _bpdn_epsilon(noise_sigma, rows),
+                 threads)
+    return [scored(truths, flat[i * trials:(i + 1) * trials]) for i, (truths, _) in
+            enumerate(blocks)]
 
 
 def recovery_trial(matrix, k, solver, noise_sigma, seed):
@@ -596,7 +677,7 @@ def recovery_trial(matrix, k, solver, noise_sigma, seed):
     relative l2 error <= 1e-4; noisy success means the estimated support
     (entries above 10 * noise_sigma) matches the true support exactly.
     """
-    return _trials(_Operand(matrix), k, solver, noise_sigma, seed, 1)[0]
+    return _trials(_Operand(matrix), [k], solver, noise_sigma, seed, 1)[0][0]
 
 
 def wilson_interval(successes, trials):
@@ -621,13 +702,11 @@ def wilson_interval(successes, trials):
 def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
     """Empirical success rate vs sparsity with Wilson 95% intervals.
 
-    Every trial runs on the one given matrix, and every k is checked
-    against the solver before the first trial.  The trials of one k are
-    solved together as the columns of one block (bpdn's one column at a
-    time), and the IHT step is computed once per curve.  Each k plants
-    its trials as one block from streams keyed by (seed, k), trial i from
-    row i, and threads share out whole k, so the curve is reproducible at
-    any thread count.
+    Every trial runs on the one given matrix, every k is checked against
+    the solver before the first trial, and the IHT step is computed once
+    per curve.  Each k plants its trials as one block from streams keyed
+    by (seed, k), trial i from row i, and is solved as in _trials, so the
+    curve is reproducible at any thread count.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -636,14 +715,12 @@ def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
         raise ValueError("k_list must be strictly ascending")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    op = _Operand(matrix)
+    op, points = _Operand(matrix), []
     for k in k_list:
         _check_k(k, solver, *op.data.shape)
-
-    def point(k):
-        wins = sum(1 for r in _trials(op, k, solver, noise_sigma, seed, trials) if r.success)
+    for k, res in zip(k_list, _trials(op, k_list, solver, noise_sigma, seed, trials, threads)):
+        wins = sum(r.success for r in res)
         lo, hi = wilson_interval(wins, trials)
-        return PhasePoint(k=k, trials=trials, successes=wins,
-                          rate=wins / trials, ci_low=lo, ci_high=hi)
-
-    return parallel_map(point, k_list, threads)
+        points.append(PhasePoint(k=k, trials=trials, successes=wins,
+                                 rate=wins / trials, ci_low=lo, ci_high=hi))
+    return points

@@ -8,8 +8,11 @@ trials exactly as the library does, then solves each column with these.
 Tests compare the library's batched phase path against them trial by
 trial.
 
-`lasso` is an iterative l1 solver (monotone FISTA, Beck & Teboulle 2009)
-that tests hold the exact lasso path of `lasso` and `bpdn` against.
+`path` follows the exact lasso homotopy for one signal, one breakpoint
+at a time; `bpdn` and `lasso_path` wrap it as the library's `bpdn` and
+`lasso` do.  Tests hold the library's lockstep homotopy to it column by
+column, repr for repr.  `lasso` is an iterative l1 solver (monotone
+FISTA, Beck & Teboulle 2009) that tests hold the exact path against.
 """
 
 import math
@@ -17,8 +20,8 @@ import math
 import numpy as np
 
 from cohaudit.errors import DomainError
-from cohaudit.solvers import NOISELESS_SUCCESS_TOL, SolveResult, _observe, _operands, \
-    _plant, _score
+from cohaudit.solvers import NOISELESS_SUCCESS_TOL, SolveResult, _check_nonnegative, \
+    _observe, _operands, _plant, _score
 from cohaudit.linalg import operator_norm
 
 # lasso stops at a relative duality gap of _GAP_RTOL, checked every _GAP_CHECK steps.
@@ -214,6 +217,129 @@ def lasso(matrix, y, lam, max_iter=2000, tol=1e-9):
                        converged=converged,
                        info={"lam": lam, "objective": fx, "rel_gap": gap,
                              "objective_trace": trace})
+
+
+def path(data, y, epsilon, lam_stop):
+    """Follow the lasso path x(lam) of one y down from lam = max |M^T y|, where x = 0.
+
+    The path (homotopy: Osborne, Presnell & Turlach 2000; Donoho & Tsaig
+    2008) is linear between breakpoints where an atom joins the active set
+    or an active coefficient crosses zero; ||y - M x(lam)|| shrinks as lam
+    falls.  It stops where the residual reaches epsilon > 0, a closed-form
+    root in one segment, or at lam = lam_stop.  Each breakpoint re-solves
+    the active Gram system, so rounding does not accumulate.  A singular
+    active Gram ('singular-gram'), or over 10 breakpoints per column or an
+    emptied active set ('stalled'), stops at the last breakpoint.
+
+    Returns (x, residual, lam, breakpoints, flags, whether epsilon was reached).
+    """
+    rows, cols = data.shape
+    corr = data.T @ y
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    if not lam > lam_stop:
+        return np.zeros(cols), y, lam_stop, 0, [], False
+    active = [int(np.argmax(np.abs(corr)))]
+    signs = [float(np.sign(corr[active[0]]))]
+    # the last event may not be undone at once: a joining coefficient starts
+    # at zero, and a dropped atom sits on the boundary it left
+    joined, left = active[0], None
+    x, resid, lam_x, flags = np.zeros(cols), y, lam, []
+    for steps in range(1, 10 * cols + 1):
+        sub, s = data[:, active], np.array(signs)
+        try:
+            sol = np.linalg.solve(sub.T @ sub, np.column_stack([sub.T @ y - lam * s, s]))
+        except np.linalg.LinAlgError:
+            sol = np.full((len(active), 2), np.nan)
+        if not np.all(np.isfinite(sol)):
+            flags.append("singular-gram")
+            break
+        coef, direction = sol.T
+        x = np.zeros(cols)
+        x[active] = coef
+        resid, lam_x = y - sub @ coef, lam
+        if lam == lam_stop:
+            break
+        # along the segment x_A += g d, r -= g v, c -= g a and lam -= g
+        v = sub @ direction
+        c, a = (data.T @ np.column_stack([resid, v])).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = -coef / direction
+            # |c_j - g a_j| = lam - g from above or below; a column parallel
+            # to the active span has a zero denominator and never joins
+            up = np.where(1.0 - a > 1e-12, (lam - c) / (1.0 - a), np.inf)
+            down = np.where(1.0 + a > 1e-12, (lam + c) / (1.0 + a), np.inf)
+        # an event within rounding of the current point (a tie) happens at it,
+        # and a coefficient zero to rounding leaves only toward the wrong sign
+        near = 1e-9 * lam
+        for g in (drop, up, down):
+            g[(g >= -near) & (g <= 0.0)] = 0.0
+            g[~(g >= 0.0)] = np.inf
+        drop[(drop <= near) & (direction * s > 0)] = np.inf
+        if joined is not None:
+            drop[active.index(joined)] = np.inf
+        if left is not None:
+            (up if left[1] > 0 else down)[left[0]] = np.inf
+        join = np.minimum(up, down)
+        join[active] = np.inf
+        i, j = int(np.argmin(drop)), int(np.argmin(join))
+        # once the active columns span R^rows no atom can join
+        gamma = min(drop[i], join[j] if len(active) < rows else np.inf)
+        end = gamma >= (1.0 - 1e-9) * (lam - lam_stop)
+        if end:
+            gamma = lam - lam_stop  # an event within rounding of the endpoint is the endpoint
+        if epsilon > 0.0 and np.linalg.norm(resid - gamma * v) <= epsilon:
+            # smaller root of ||r - g v||^2 = epsilon^2, in cancellation-free form
+            excess = float(resid @ resid) - epsilon * epsilon
+            rv, vv = float(resid @ v), float(v @ v)
+            w = resid - (rv / vv) * v  # discriminant vv (eps^2 - |w|^2), accurate for eps << |r|
+            root = excess / (rv + math.sqrt(max(vv * (epsilon * epsilon - w @ w), 0.0)))
+            x[active] = coef + root * direction
+            return x, y - sub @ x[active], lam - root, steps, flags, True
+        lam = lam_stop if end else lam - gamma
+        if lam == lam_stop:
+            continue
+        if gamma == drop[i]:
+            joined, left = None, (active.pop(i), signs.pop(i))
+            if not active:  # x(lam) is nonzero below max |M^T y|: only rounding gets here
+                flags.append("stalled")
+                break
+        else:
+            joined, left = j, None
+            active.append(j)
+            signs.append(1.0 if up[j] <= down[j] else -1.0)
+    else:
+        flags.append("stalled")
+    return x, resid, lam_x, steps, flags, False
+
+
+def lasso_path(matrix, y, lam):
+    """The library's lasso, solved on path."""
+    data, y = _operands(matrix, y)
+    _check_nonnegative("lam", lam)
+    x, resid, _, steps, flags, _ = path(data, y, 0.0, lam)
+    return SolveResult(estimate=x, iterations=steps,
+                       residual_norm=float(np.linalg.norm(resid)),
+                       converged=not flags, flags=tuple(flags), info={"lam": lam})
+
+
+def bpdn(matrix, y, epsilon):
+    """The library's bpdn, solved on path."""
+    data, y = _operands(matrix, y)
+    _check_nonnegative("epsilon", epsilon)
+    ynorm = float(np.linalg.norm(y))
+    if ynorm == 0.0 or epsilon >= ynorm:
+        return SolveResult(estimate=np.zeros(data.shape[1]), iterations=0,
+                           residual_norm=ynorm, converged=True,
+                           flags=("zero-solution",) if epsilon >= ynorm and ynorm > 0 else (),
+                           info={"lam": 0.0})
+    x, resid, lam, steps, flags, reached = path(data, y, epsilon, 0.0)
+    rnorm = float(np.linalg.norm(resid))
+    # no breakpoint: y is orthogonal to every column (or not finite)
+    reached = reached or steps > 0 and rnorm <= max(epsilon, 1e-9 * ynorm)
+    if not reached and not flags:
+        flags.append("infeasible-epsilon")
+    return SolveResult(estimate=x, iterations=steps, residual_norm=rnorm,
+                       converged=reached, flags=tuple(flags), info={"lam": float(lam)})
 
 
 SOLVE = {"omp": omp, "iht": iht, "cosamp": cosamp}

@@ -157,7 +157,12 @@ def test_verify_duplicate_column_fails(tmp_path):
      "--k-list", "2,6", "--solver", "omp", "--trials", "12", "--noise", "0.01"],
     ["separate", "--preset", "spikes-fourier", "--n", "32", "--seed", "9",
      "--nx", "2", "--ne", "2", "--trials", "6"],
-], ids=lambda argv: argv[0])
+    # bpdn solves its trials in lockstep runs, which the threads split
+    ["phase", "--ensemble", "gaussian", "--rows", "30", "--cols", "60", "--seed", "9",
+     "--k-list", "2,5,8", "--solver", "bpdn", "--trials", "6", "--noise", "0.01"],
+    ["separate", "--preset", "spikes-fourier", "--n", "32", "--seed", "9",
+     "--nx", "2", "--ne", "2", "--trials", "6", "--noise", "0.01"],
+], ids=["verify", "phase", "separate", "phase-bpdn-noisy", "separate-noisy"])
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, base):
     # four cores, so that --threads 4 runs a pool on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -231,6 +236,13 @@ def test_phase_usage_errors(capsys):
                     "--cols", "30", "--k-list", "5,2", "--solver", "omp",
                     "--trials", "5"]) == 2
     capsys.readouterr()
+    # a negative k is a usage error however the list is spelled; argparse
+    # itself takes "-1,2" for a flag
+    for spelling in (["--k-list", "-1"], ["--k-list=-1,2"], ["--k-list", "-1,2"],
+                     ["--k-list", "0,-1"]):
+        assert run_cli(["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30",
+                        "--solver", "omp", "--trials", "5"] + spelling) == 2
+        assert "--k-list" in capsys.readouterr().err
 
 
 def test_separate_preset(tmp_path):
@@ -379,7 +391,7 @@ def test_noise_that_overflows_the_observations_is_one_data_error(monkeypatch, ca
     # finite noise so large that the noisy observations overflow is rejected
     # before any solve, with no overflow warning and no fitted curve
     for module, name in [(solvers, "_omp"), (solvers, "_iht"), (solvers, "_cosamp"),
-                         (solvers, "bpdn"), (separation, "bpdn")]:
+                         (solvers, "bpdn"), (separation, "bpdn"), (solvers, "_homotopy")]:
         monkeypatch.setattr(module, name, unreachable(name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import differential_bpdn
 import reference_solvers as ref
 from reference_solvers import lasso as fista_lasso
 from cohaudit import (
@@ -581,8 +582,8 @@ def test_trials_are_prefixes_of_larger_blocks(solver, noise):
                           noisy[:, :8])
     assert np.array_equal(solvers._observe(np.zeros(m.rows), noise, seed, "noise", k),
                           noisy[:, 0])
-    short = outcomes(solvers._trials(op, k, solver, noise, seed, 8))
-    assert short == outcomes(solvers._trials(op, k, solver, noise, seed, 16))[:8]
+    short = outcomes(solvers._trials(op, [k], solver, noise, seed, 8)[0])
+    assert short == outcomes(solvers._trials(op, [k], solver, noise, seed, 16)[0])[:8]
     assert short[0] == outcomes([recovery_trial(m, k, solver, noise, seed)])[0]
 
 
@@ -621,7 +622,7 @@ def test_batched_trials_match_per_trial_reference(monkeypatch, dictionary, solve
         monkeypatch.setattr(solvers, "_IHT_MAX_ITER", options["max_iter"])
     seen = set()
     for k in (2, 6, 10, 14):
-        batched = outcomes(solvers._trials(op, k, solver, noise, 4, 12))
+        batched = outcomes(solvers._trials(op, [k], solver, noise, 4, 12)[0])
         reference = ref.recovery_trials(m.data, k, solver, noise, 4, 12, **options)
         assert batched == reference
         seen.update(f for r in reference for f in r[3])
@@ -727,6 +728,116 @@ def test_solver_memory_is_bounded_by_chunks(monkeypatch, solver, options):
     op, trials = solvers._Operand(m), 2000
     for name, value in options.items():  # solvers' module constants
         monkeypatch.setattr(solvers, name, value)
-    solvers._trials(op, 30, solver, 0.0, 1, 10)
-    peak = traced_peak(lambda: solvers._trials(op, 30, solver, 0.0, 1, trials))
+    solvers._trials(op, [30], solver, 0.0, 1, 10)
+    peak = traced_peak(lambda: solvers._trials(op, [30], solver, 0.0, 1, trials))
     assert peak < 10 * m.cols * trials * 8 + 2 * GATHER_ENTRIES * 8
+
+
+def same_per_column(data, ys, epsilon):
+    """The lockstep block's SolveResults against the one-signal path's, repr for repr."""
+    want = [ref.bpdn(data, y, epsilon) for y in ys.T]
+    assert [repr(r) for r in solvers._bpdn(data, ys, epsilon)] == [repr(r) for r in want]
+    return want
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_lockstep_bpdn_is_the_one_signal_path_on_phase_blocks(seed):
+    # phase-solvers' bpdn (gaussian 100 x 500, 2 trials at each k), every k
+    # in one block as phase_curve solves it: each column's result is bit for
+    # bit the lone column's, whatever else is in its block
+    m = generate(EnsembleSpec("gaussian", 100, 500, seed))
+    ys = np.hstack([m.data @ solvers._plant(seed, "signal", k, 500, 2)
+                    for k in (4, 8, 12, 16, 20, 24)])
+    same_per_column(m.data, ys, 0.0)
+
+
+def test_lockstep_bpdn_is_the_one_signal_path_at_the_epsilon_root():
+    m = generate(EnsembleSpec("gaussian", 40, 120, 3))
+    epsilon = solvers._bpdn_epsilon(0.01, 40)
+    ys = np.hstack([solvers._observe(m.data @ solvers._plant(3, "signal", k, 120, 10), 0.01, 3,
+                                     "noise", k) for k in (2, 5, 8, 11, 14)])
+    want = same_per_column(m.data, ys, epsilon)
+    # every column stops inside a segment, at the root of ||r - g v|| = epsilon
+    assert all(r.converged and abs(r.residual_norm - epsilon) <= 1e-9 * epsilon for r in want)
+
+
+def test_lockstep_bpdn_is_the_one_signal_path_with_copied_atoms():
+    # duplicated and negated atoms tie in every correlation, on gaussian
+    # atoms and on spikes, where every product is exact
+    rng = np.random.default_rng(20)
+    base = rng.standard_normal((20, 40))
+    base /= np.linalg.norm(base, axis=0)
+    eye = np.eye(12)
+    for data in (np.hstack([base, base[:, :5], -base[:, 5:10]]),
+                 np.hstack([eye, eye[:, :4], -eye[:, 4:8]])):
+        ys = data @ rng.choice([-1.0, 0.0, 0.0, 1.0, 0.5], (data.shape[1], 6))
+        for epsilon in (0.0, 1e-9, 0.3):
+            same_per_column(data, ys, epsilon)
+
+
+def test_lockstep_bpdn_singular_gram_leaves_the_other_columns_going():
+    # an atom 1e-9 from another makes two of these columns' active Grams
+    # singular to rounding; they stop at their last breakpoint, the rest go on
+    base = generate(EnsembleSpec("gaussian", 6, 8, 8)).data
+    rng = np.random.default_rng(8)
+    data = np.hstack([base, base[:, :1] + 1e-9 * rng.standard_normal((6, 1))])
+    data /= np.linalg.norm(data, axis=0)
+    want = same_per_column(data, data @ rng.choice([-1.0, 0.0, 1.0, 0.5], (9, 6)), 0.0)
+    assert [r.flags for r in want] == [(), (), (), ("singular-gram",), ("singular-gram",), ()]
+
+
+def test_lockstep_bpdn_linalg_error_stays_with_its_column(monkeypatch):
+    # np.linalg.solve raises for one column's Gram at its third breakpoint,
+    # inside a stack of the other columns' Grams of the same size: that column
+    # stops there ('singular-gram'), and every other column's result is
+    # unchanged, bit for bit
+    m = generate(EnsembleSpec("gaussian", 20, 40, 0))
+    ys = m.data @ solvers._plant(5, "signal", 5, 40, 6)
+    unpatched = [ref.bpdn(m.data, y, 1e-6) for y in ys.T]
+    solve, grams, stacked = np.linalg.solve, [], []
+
+    def capture(a, b):
+        grams.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", capture)
+    ref.bpdn(m.data, ys[:, 0], 1e-6)
+    target = grams[2]
+
+    def failing(a, b):
+        if any(np.array_equal(g, target) for g in a.reshape(-1, *a.shape[-2:])):
+            stacked.append(len(a) if a.ndim == 3 else 1)
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    want = same_per_column(m.data, ys, 1e-6)
+    monkeypatch.undo()
+    assert max(stacked) > 1  # the failing system was solved in a stack
+    assert want[0].flags == ("singular-gram",) and want[0].iterations == 3
+    assert [repr(r) for r in want[1:]] == [repr(r) for r in unpatched[1:]]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.02, 0.3, 0.9, 1.0, 1.5])
+def test_lasso_is_the_one_signal_path_to_lam_stop(frac, gauss_100x500):
+    problems = [small_problem(seed, 8, 6) for seed in range(10)]
+    rng = np.random.default_rng(5)
+    problems.append((gauss_100x500.data, gauss_100x500.data @ solvers._plant(5, "signal", 12,
+                                                                              500, 1)[:, 0]))
+    problems.append((gauss_100x500.data, rng.standard_normal(100)))
+    for data, y in problems:
+        lam = frac * float(np.max(np.abs(data.T @ y)))
+        assert repr(lasso(data, y, lam)) == repr(ref.lasso_path(data, y, lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lockstep_bpdn_is_the_one_signal_path_on_random_blocks(seed):
+    # a sample of differential_bpdn.py's problems: gaussian atoms, copies,
+    # signed spikes, nearly parallel atoms and overdetermined dictionaries
+    rng = np.random.default_rng(seed)
+    kind, data = differential_bpdn.dictionary(rng)
+    ys = differential_bpdn.observations(rng, kind, data)
+    top = float(np.linalg.norm(ys, axis=0).max())
+    for epsilon in (0.0, 1e-9 * top, 0.3 * top):
+        same_per_column(data, ys, epsilon)
