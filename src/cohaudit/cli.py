@@ -33,10 +33,11 @@ EXIT_VERIFY = 3
 
 
 def _add_source_args(sub):
-    sub.add_argument("--matrix", help="path to a matrix file (csv or binary)")
-    sub.add_argument("--ensemble", choices=ENSEMBLES, help="generate instead of load")
-    sub.add_argument("--rows", type=_int, help="rows for --ensemble")
-    sub.add_argument("--cols", type=_int, help="cols for --ensemble")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="path to a matrix file (csv or binary)")
+    source.add_argument("--ensemble", choices=ENSEMBLES, help="generate instead of load")
+    sub.add_argument("--rows", type=_int_in(1), help="rows for --ensemble")
+    sub.add_argument("--cols", type=_int_in(1), help="cols for --ensemble")
 
 
 def _int(text):
@@ -47,20 +48,16 @@ def _int(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _bin_count(text):
-    """argparse type for --bins: a count from 1 to HIST_BIN_CAP."""
-    value = _positive_int(text)
-    if value > HIST_BIN_CAP:
-        raise argparse.ArgumentTypeError(f"must be <= {HIST_BIN_CAP}, got {value}")
-    return value
+def _int_in(low, high=math.inf):
+    """argparse type for an integer from low to high."""
+    def parse(text):
+        value = _int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
 
 
 def _seed(text):
@@ -78,15 +75,11 @@ def _add_common_args(sub):
 
 def _resolve_matrix(args, parser):
     """Load or generate the matrix named by the source flags, normalized."""
-    if args.matrix and args.ensemble:
-        parser.error("give either --matrix or --ensemble, not both")
     if args.matrix:
         matrix = normalize_columns(load_matrix(args.matrix))
         source = {"kind": "file", "path": args.matrix,
                   "rows": matrix.rows, "cols": matrix.cols}
         return matrix, source
-    if not args.ensemble:
-        parser.error("need a matrix source: --matrix or --ensemble")
     if args.rows is None or args.cols is None:
         parser.error("--ensemble needs --rows and --cols")
     try:
@@ -232,8 +225,6 @@ def run_phase(args, parser):
 
 
 def run_separate(args, parser):
-    if args.nx < 0 or args.ne < 0:
-        parser.error("--nx and --ne must be >= 0")
     if args.preset and (args.matrix_d or args.matrix_b):
         parser.error("give either --preset or --matrix-d and --matrix-b, not both")
     if args.n is not None and not args.preset:
@@ -242,8 +233,6 @@ def run_separate(args, parser):
     if args.preset:
         if args.n is None:
             parser.error("--preset needs --n")
-        if args.n < 2:
-            parser.error("--n must be >= 2")
         left, right = spikes_fourier_pair(args.n)
         source = {"kind": "preset", "preset": args.preset, "n": args.n}
     else:
@@ -295,22 +284,23 @@ def build_parser():
         description="Coherence auditing and recovery verification for "
                     "compressed sensing matrices.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    count = _int_in(1)
 
     p_audit = subs.add_parser("audit", help="coherence profile and sparsity thresholds")
     _add_source_args(p_audit)
     _add_common_args(p_audit)
-    p_audit.add_argument("--bins", type=_bin_count, default=None,
+    p_audit.add_argument("--bins", type=_int_in(1, HIST_BIN_CAP), default=None,
                          help=f"histogram bins, 1 to {HIST_BIN_CAP} (default ceil(sqrt(pairs)))")
     p_audit.add_argument("--hist-csv", help="also write the histogram as CSV")
-    p_audit.set_defaults(func=run_audit)
+    p_audit.set_defaults(func=run_audit, parser=p_audit)
 
     p_verify = subs.add_parser("verify", help="empirical band and tail checks")
     _add_source_args(p_verify)
     _add_common_args(p_verify)
     p_verify.add_argument("--k", type=_int, required=True, help="support size")
-    p_verify.add_argument("--trials", type=_positive_int, default=2000,
+    p_verify.add_argument("--trials", type=count, default=2000,
                           help="energy-ratio trials (default 2000)")
-    p_verify.add_argument("--spectral-trials", type=_positive_int, default=None,
+    p_verify.add_argument("--spectral-trials", type=count, default=None,
                           help="spectral trials (default: same as --trials)")
     p_verify.add_argument("--coeff-model", choices=("gaussian", "rademacher"),
                           default="gaussian")
@@ -318,7 +308,7 @@ def build_parser():
                           help="tail grid as multiples of the band width")
     p_verify.add_argument("--ratios-csv", help="dump energy ratios as CSV")
     p_verify.add_argument("--spectral-csv", help="dump spectral deviations as CSV")
-    p_verify.set_defaults(func=run_verify)
+    p_verify.set_defaults(func=run_verify, parser=p_verify)
 
     p_phase = subs.add_parser("phase", help="solver success rate vs sparsity")
     _add_source_args(p_phase)
@@ -326,38 +316,40 @@ def build_parser():
     p_phase.add_argument("--k-list", required=True,
                          help="comma-separated ascending sparsities")
     p_phase.add_argument("--solver", choices=SOLVERS, required=True)
-    p_phase.add_argument("--trials", type=_positive_int, default=200,
+    p_phase.add_argument("--trials", type=count, default=200,
                          help="trials per sparsity (default 200)")
     p_phase.add_argument("--noise", type=float, default=0.0,
                          help="measurement noise sigma (default 0)")
     p_phase.add_argument("--csv", help="also write the curve as CSV")
-    p_phase.set_defaults(func=run_phase)
+    p_phase.set_defaults(func=run_phase, parser=p_phase)
 
     p_sep = subs.add_parser("separate", help="two-dictionary separation experiments")
     _add_common_args(p_sep)
     p_sep.add_argument("--preset", choices=("spikes-fourier",),
                        help="built-in dictionary pair")
-    p_sep.add_argument("--n", type=_int, help="dimension for --preset")
+    p_sep.add_argument("--n", type=_int_in(2), help="dimension for --preset")
     p_sep.add_argument("--matrix-d", help="signal dictionary file")
     p_sep.add_argument("--matrix-b", help="disturbance dictionary file")
-    p_sep.add_argument("--nx", type=_int, required=True, help="signal sparsity")
-    p_sep.add_argument("--ne", type=_int, required=True, help="disturbance sparsity")
-    p_sep.add_argument("--trials", type=_positive_int, default=50)
+    p_sep.add_argument("--nx", type=_int_in(0), required=True, help="signal sparsity")
+    p_sep.add_argument("--ne", type=_int_in(0), required=True, help="disturbance sparsity")
+    p_sep.add_argument("--trials", type=count, default=50)
     p_sep.add_argument("--noise", type=float, default=0.0)
     p_sep.add_argument("--csv", help="also write per-trial errors as CSV")
-    p_sep.set_defaults(func=run_separate)
+    p_sep.set_defaults(func=run_separate, parser=p_sep)
     for sub in (p_verify, p_phase, p_sep):
-        sub.add_argument("--threads", type=_positive_int, default=1,
+        sub.add_argument("--threads", type=count, default=1,
                          help="worker threads for Monte Carlo trials, capped at the "
                               "core count (default 1)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # each usage error, unknown flags included, prints its own command's usage
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        report, code, summary = args.func(args, parser)
+        report, code, summary = args.func(args, args.parser)
         text = canonical_json(report) + "\n"
         if args.out:
             Path(args.out).write_text(text)

@@ -275,15 +275,60 @@ def test_separate_mismatched_dictionaries(tmp_path):
     (["phase", "--ensemble", "gaussian", "--rows", "20", "--cols", "30",
       "--k-list", "1,x", "--solver", "omp"], "bad --k-list '1,x'"),
     (["separate", "--preset", "spikes-fourier", "--n", "8", "--nx", "-1", "--ne", "2"],
-     "--nx and --ne must be >= 0"),
+     "argument --nx: must be >= 0, got -1"),
     (["separate", "--preset", "spikes-fourier", "--n", "1", "--nx", "1", "--ne", "1"],
-     "--n must be >= 2"),
+     "argument --n: must be >= 2, got 1"),
     (["audit", "--ensemble", "gaussian", "--rows", "5", "--cols", "4", "--bins", "513"],
      "argument --bins: must be <= 512, got 513"),
-], ids=["k-list", "nx", "n", "bins"])
+    (["audit", "--ensemble", "gaussian", "--rows", "0", "--cols", "4"],
+     "argument --rows: must be >= 1, got 0"),
+], ids=["k-list", "nx", "n", "bins", "rows"])
 def test_usage_error_messages(capsys, argv, message):
     assert run_cli(argv) == 2
     assert message in capsys.readouterr().err
+
+
+ENSEMBLE = ["--ensemble", "gaussian", "--rows", "20", "--cols", "30"]
+PRESET = ["--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the checks that span flags, made by each command after parsing
+    (["audit", "--ensemble", "gaussian", "--rows", "4"], "--ensemble needs --rows and --cols"),
+    (["audit", "--ensemble", "partial_fourier", "--rows", "5", "--cols", "4"],
+     "partial_fourier needs rows <= cols, got 5x4"),
+    (["verify"] + ENSEMBLE + ["--k", "2", "--t-grid", "abc"],
+     "bad grid 'abc', expected comma-separated numbers"),
+    (["verify"] + ENSEMBLE + ["--k", "2", "--t-grid", "0,1"],
+     "grid multipliers must be positive and finite"),
+    (["phase"] + ENSEMBLE + ["--solver", "omp", "--k-list", "1,x"],
+     "bad --k-list '1,x', expected comma-separated ints"),
+    (["phase"] + ENSEMBLE + ["--solver", "omp", "--k-list", "0,-1"],
+     "--k-list must be nonempty, >= 0 and strictly ascending: '0,-1'"),
+    (["separate"] + PRESET + ["--matrix-d", "d.csv"],
+     "give either --preset or --matrix-d and --matrix-b, not both"),
+    (["separate", "--n", "8", "--nx", "1", "--ne", "1", "--matrix-d", "d.csv",
+      "--matrix-b", "b.csv"], "--n needs --preset"),
+    (["separate", "--preset", "spikes-fourier", "--nx", "1", "--ne", "1"], "--preset needs --n"),
+    (["separate", "--nx", "1", "--ne", "1", "--matrix-d", "d.csv"],
+     "need --preset or both --matrix-d and --matrix-b"),
+    # argparse's own checks
+    (["verify", "--k", "2"], "one of the arguments --matrix --ensemble is required"),
+    (["phase", "--matrix", "m.csv", "--ensemble", "gaussian", "--k-list", "1",
+      "--solver", "omp"], "argument --ensemble: not allowed with argument --matrix"),
+    (["separate"] + PRESET[:-1] + ["-2"], "argument --ne: must be >= 0, got -2"),
+    (["audit"] + ENSEMBLE + ["--threads", "2"], "unrecognized arguments: --threads 2"),
+], ids=["rows-cols", "shape", "grid", "grid-range", "k-list", "k-list-order", "preset-files",
+        "n-files", "preset-n", "files", "no-source", "two-sources", "ne", "unknown"])
+def test_usage_errors_print_their_commands_usage(monkeypatch, capsys, argv, message):
+    # argparse prints the usage of the parser whose error() is called; the
+    # top-level one would list the four commands instead of this one's flags
+    for name in ("generate", "load_matrix", "spikes_fourier_pair"):
+        monkeypatch.setattr(cli, name, unreachable(name))
+    assert run_cli(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: cohaudit {argv[0]} "), lines
+    assert lines[-1] == f"cohaudit {argv[0]}: error: {message}"
 
 
 def test_separate_usage_errors(capsys):
@@ -507,6 +552,8 @@ def test_cli_fuzz_exit_codes(argv):
         code = run_cli(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(f"usage: cohaudit {argv[0]} "), (argv, err.getvalue())
 
 
 FINITE_ENTRIES = st.floats(-4.0, 4.0)
