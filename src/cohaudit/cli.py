@@ -76,6 +76,9 @@ def _add_common_args(sub):
 def _resolve_matrix(args, parser):
     """Load or generate the matrix named by the source flags, normalized."""
     if args.matrix:
+        for flag in ("--rows", "--cols"):
+            if getattr(args, flag[2:]) is not None:
+                parser.error(f"argument {flag}: not allowed with argument --matrix")
         matrix = normalize_columns(load_matrix(args.matrix))
         source = {"kind": "file", "path": args.matrix,
                   "rows": matrix.rows, "cols": matrix.cols}

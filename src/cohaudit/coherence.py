@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, UnnormalizedMatrixError
 
-# Gram entries held per strip (4 MB of float64).  Strips are
-# max(1, _STRIP_BUDGET // N) columns wide, so N^2 <= 2^19 is one strip.
+# Gram entries held per block (4 MB of float64), and the Gram rows per
+# strip.  A strip is read in blocks of _STRIP_BUDGET // _BLOCK_ROWS columns;
+# 128 rows per product pay for packing the columns it reads (Goto & van de
+# Geijn 2008), and N <= 128 is one block.
 _STRIP_BUDGET = 2**19
+_BLOCK_ROWS = 128
 
 # Strip entries binned at a time by _bin_counts (128 KB of float64).
 _BIN_CHUNK = 2**14
@@ -32,40 +35,40 @@ class _Stats(namedtuple("_Stats", "lo hi mean m2 m4 counts")):  # counts None wi
     std = property(lambda self: math.sqrt(self.m2))
 
 
-def _strip_stats(strips, count, bins=None):
-    """_Stats of the pairs in the Gram strips strips() yields, holding one strip at a time.
+def _strip_stats(blocks, count, bins=None):
+    """_Stats of the pairs in the Gram blocks blocks() yields, holding one block at a time.
 
-    strips() yields (g, upper): a new strip g whose pairs are every entry,
+    blocks() yields (g, upper): a new block g whose pairs are every entry,
     or with upper the g[i, j], j > i; they alone are read (and overwritten).
     Pass 1 sums and takes extremes; pass 2 the central sums and histogram.
-    The element expressions are the whole-array ones: one strip, same bits.
+    The element expressions are the whole-array ones: one block, same bits.
     """
-    # map, unlike a for loop, keeps no strip alive while the next is made
-    sums, los, his = zip(*map(_first_pass, strips()))
-    mean = float(np.sum([s for strip_sums in sums for s in strip_sums])) / count
+    # map, unlike a for loop, keeps no block alive while the next is made
+    sums, los, his = zip(*map(_first_pass, blocks()))
+    mean = float(np.sum([s for block_sums in sums for s in block_sums])) / count
     lo, hi = float(np.min(los)), float(np.max(his))
     counts = None if bins is None else np.zeros(bins, dtype=np.int64)
     if counts is not None and not hi > lo:
         counts[-1] = count  # all values equal: the one point sits in the last bin
 
-    def second_pass(strip):
-        parts = _pair_parts(*strip)
+    def second_pass(block):
+        parts = _pair_parts(*block)
         if counts is not None and hi > lo:
             for v in parts:
                 counts[:] += _bin_counts(v, lo, hi, bins)
         return [_central_sums(v, mean) for v in parts]
 
     s2 = s4 = 0.0
-    for strip_sums in map(second_pass, strips()):
-        for a, b in strip_sums:
+    for block_sums in map(second_pass, blocks()):
+        for a, b in block_sums:
             s2 += a
             s4 += b
     return _Stats(lo, hi, mean, s2 / count, s4 / count, counts)
 
 
-def _first_pass(strip):
-    """Sums of a strip's pair parts, and their extremes."""
-    parts = _pair_parts(*strip)
+def _first_pass(block):
+    """Sums of a block's pair parts, and their extremes."""
+    parts = _pair_parts(*block)
     return [np.sum(v) for v in parts], min(map(np.min, parts)), max(map(np.max, parts))
 
 
@@ -112,10 +115,10 @@ def _bin_counts(v, lo, hi, bins):
 
 
 def _pair_parts(g, upper):
-    """The parts of strip g that hold its pairs; g is read, not written.
+    """The parts of block g that hold its pairs; g is read, not written.
 
     Without upper the one part is g.  With upper the first part is a flat
-    copy of the pairs in g's first rows + 1 columns (on the strip of the
+    copy of the pairs in g's first rows + 1 columns (on the block of the
     last rows: every pair, in order), the second a view of the columns to
     their right.
     """
@@ -136,13 +139,15 @@ def _central_sums(v, mean):
 class CoherenceSample:
     """All pairwise inner products <d_i, d_j>, i < j, lexicographic order.
 
-    A sample keeps the matrix, not the N(N-1)/2 pairs: strips() yields
-    them one strip of Gram rows at a time, as (strip, upper) for
+    A sample keeps the matrix, not the N(N-1)/2 pairs: blocks() yields
+    them one block of Gram entries at a time, as (block, upper) for
     _strip_stats, count is their number, and `values` materialises them.
+    A block with upper begins a strip of Gram rows and holds its diagonal;
+    the blocks after it continue the same rows to the right.
     """
 
-    def __init__(self, strips, count, source_dims):
-        self._strips, self._count = strips, count
+    def __init__(self, blocks, count, source_dims):
+        self._blocks, self._count = blocks, count
         self.source_dims = tuple(source_dims)
         self._kept = None
 
@@ -151,19 +156,27 @@ class CoherenceSample:
     @property
     def values(self):
         """Every pair, as one read-only array."""
-        v = np.concatenate([np.zeros(0), *(
-            g[np.arange(g.shape[1]) > np.arange(g.shape[0])[:, None]] if upper else g.ravel()
-            for g, upper in self._strips())])
+        strips = []  # (upper, blocks): a strip's blocks are set side by side, then masked
+        for g, upper in self._blocks():
+            if upper or not strips:
+                strips.append((upper, []))
+            strips[-1][1].append(g)
+        pairs = [np.zeros(0)]
+        for upper, blocks in strips:
+            g = np.hstack(blocks)
+            pairs.append(g[np.arange(g.shape[1]) > np.arange(g.shape[0])[:, None]] if upper
+                         else g.ravel())
+        v = np.concatenate(pairs)
         v.flags.writeable = False
         return v
 
     def _two_pass(self, bins=None):
         """_strip_stats of the pairs, kept.  bins=None takes the kept result
-        whatever its bins, so profile then normality_check read the strips twice."""
+        whatever its bins, so profile then normality_check read the blocks twice."""
         if self._count == 0:
             raise InsufficientDataError("need at least two columns for a coherence profile")
         if self._kept is None or bins not in (None, self._kept[0]):
-            self._kept = (bins, _strip_stats(self._strips, self._count, bins))
+            self._kept = (bins, _strip_stats(self._blocks, self._count, bins))
         return self._kept[1]
 
 
@@ -206,20 +219,40 @@ def require_normalized(matrix, name="matrix"):
             f"{name} columns must be unit norm (worst deviation {worst:.3g})")
 
 
+def _block_reader(left, right, upper):
+    """A reader of left.T @ right in blocks, as (block, upper) pairs for CoherenceSample.
+
+    Strips of _BLOCK_ROWS Gram rows (left columns) are read in blocks of
+    _STRIP_BUDGET // _BLOCK_ROWS right columns (at least one), so no block
+    outgrows the budget whatever N.  With upper, left is right and strip a
+    starts at column a: its first block, the one flagged, holds the
+    diagonal and spans at least the strip's own columns and one more, so
+    it holds a pair.  The geometry is fixed when the reader is made.
+    """
+    h, w, n = _BLOCK_ROWS, max(1, _STRIP_BUDGET // _BLOCK_ROWS), right.shape[1]
+
+    def read():
+        # with upper the last Gram row has no pairs, so it starts no strip
+        for a in range(0, left.shape[1] - upper, h):
+            strip, b = left[:, a:a + h].T, a if upper else 0
+            edges = [b, *range(b + max(w, len(strip) + 1), n, w), n]
+            for c, d in zip(edges, edges[1:]):
+                yield strip @ right[:, c:d], upper and c == b
+
+    return read
+
+
 def coherence_sample(matrix):
-    """The N(N-1)/2 pairwise column inner products, read in Gram strips.
+    """The N(N-1)/2 pairwise column inner products, read in Gram blocks.
 
     Pairs are ordered lexicographically: (0,1), (0,2), ..., (1,2), ...
-    A strip spans _STRIP_BUDGET // N Gram rows (at least one).  Requires
-    unit-norm columns.
+    A strip of _BLOCK_ROWS (128) Gram rows a.. is read from column a on,
+    in blocks of _STRIP_BUDGET // 128 (4,096) columns: at most 4 MB at a
+    time, and N <= 128 is one block.  Requires unit-norm columns.
     """
     require_normalized(matrix)
     data, N = matrix.data, matrix.cols
-    w = max(1, _STRIP_BUDGET // max(N, 1))
-    # Gram rows a..a+w-1 from column a on, whose pairs lie right of the diagonal
-    # (row N-1 has none)
-    return CoherenceSample(lambda: ((data[:, a:a + w].T @ data[:, a:], True)
-                                    for a in range(0, N - 1, w)), N * (N - 1) // 2, data.shape)
+    return CoherenceSample(_block_reader(data, data, True), N * (N - 1) // 2, data.shape)
 
 
 def profile(sample, bins=None):
@@ -269,9 +302,10 @@ def normality_check(sample):
 def cross_coherence(left, right):
     """Statistics of the inner products between two dictionaries' columns.
 
-    Covers all cols(left) * cols(right) ordered pairs, read in strips of
-    _STRIP_BUDGET // cols(right) left columns (at least one).  Either side
-    may be empty, giving a zero profile with sample_count 0.
+    Covers all cols(left) * cols(right) ordered pairs, read in blocks of
+    _BLOCK_ROWS (128) left columns by _STRIP_BUDGET // 128 (4,096) right
+    columns.  Either side may be empty, giving a zero profile with
+    sample_count 0.
     """
     if left.rows != right.rows:
         raise DimensionError(
@@ -281,8 +315,6 @@ def cross_coherence(left, right):
     total = left.cols * right.cols
     if total == 0:
         return CrossCoherenceProfile(max_cross=0.0, std=0.0, mean=0.0, sample_count=0)
-    w = max(1, _STRIP_BUDGET // right.cols)
-    st = _strip_stats(lambda: ((left.data[:, a:a + w].T @ right.data, False)
-                               for a in range(0, left.cols, w)), total)
+    st = _strip_stats(_block_reader(left.data, right.data, False), total)
     return CrossCoherenceProfile(max_cross=st.mutual_coherence, std=st.std, mean=st.mean,
                                  sample_count=total)

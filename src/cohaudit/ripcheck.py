@@ -103,7 +103,7 @@ def _row_dot(a, b):
 def _gram_blocks(data):
     """A reader of (chunk slice, stacked D_S^T D_S) over a block's sorted supports.
 
-    A Gram that fits one coherence strip is computed once and indexed (threads
+    A Gram that fits one coherence block is computed once and indexed (threads
     share it read-only); above that budget each chunk gathers its support
     columns and multiplies them, so no N x N array is built.
     """

@@ -124,28 +124,37 @@ def _fit(data, corr_y, idx, mask, flags):
 
     CoSaMP's refit of a merged support.  Solves the normal equations on
     stacked Gram blocks M_S^T M_S against corr_y = M^T Y, padded to one size
-    by an identity block; a single right-hand side pays for its own block
+    m by an identity block; a single right-hand side pays for its own block
     only, never for all of M^T M.  A column in the span of the others has
     the squared Cholesky pivot ridge * (1 + |a|^2) in its ridged block, a
     its coefficients on them; an independent column adds its squared
     distance from that span.  A block with such a column is solved with
-    the ridge and flagged 'regularized'.
+    the ridge and flagged 'regularized'.  A chunk of c systems holds at
+    most c * m * (rows + 3m) floats at once, GATHER_ENTRIES unless one
+    system alone is more: its gathered columns and product, or the product,
+    its ridged copy and their Cholesky factor.  Each system is factored and
+    solved on its own, so its result does not depend on the chunk it is in.
     """
     order = np.argsort(~mask, axis=0, kind="stable")[:mask.sum(axis=0).max()]
     sets, real = order.T, np.take_along_axis(mask, order, axis=0).T
-    eye = np.eye(sets.shape[1])
+    m = sets.shape[1]
+    eye = np.eye(m)
     rhs = np.where(real, corr_y[sets, idx[:, None]], 0.0)
     coef = np.empty(sets.shape)
-    for sl in _chunks(idx.size, sets.shape[1], data.shape[0]):
+    for sl in _chunks(idx.size, m, data.shape[0] + 3 * m):
         sub, r = _columns(data, sets[sl]), real[sl]
-        blocks = np.where(r[:, :, None] & r[:, None, :], sub @ sub.transpose(0, 2, 1), eye)
+        blocks = sub @ sub.transpose(0, 2, 1)
+        del sub
+        np.copyto(blocks, eye, where=~(r[:, :, None] & r[:, None, :]))
         scale = np.max(np.diagonal(blocks, axis1=1, axis2=2), axis=1)
-        ridged = blocks + (_RIDGE * scale)[:, None, None] * eye
-        pivots = np.diagonal(np.linalg.cholesky(ridged), axis1=1, axis2=2)
+        ridged = (_RIDGE * scale)[:, None, None] * eye
+        ridged += blocks
+        # a copy of the pivots, so that the factor is freed at once
+        pivots = np.diagonal(np.linalg.cholesky(ridged), axis1=1, axis2=2).copy()
         singular = np.any(pivots * pivots <= _DEPENDENT_PIVOT * scale[:, None], axis=1)
         _flag(flags, idx[sl][singular], "regularized")
-        system = np.where(singular[:, None, None], ridged, blocks)
-        coef[sl] = np.linalg.solve(system, rhs[sl, :, None])[:, :, 0]
+        np.copyto(blocks, ridged, where=singular[:, None, None])
+        coef[sl] = np.linalg.solve(blocks, rhs[sl, :, None])[:, :, 0]
     full = np.zeros(mask.shape)
     full[sets[real], np.nonzero(real)[0]] = coef[real]
     return full

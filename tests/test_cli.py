@@ -282,7 +282,14 @@ def test_separate_mismatched_dictionaries(tmp_path):
      "argument --bins: must be <= 512, got 513"),
     (["audit", "--ensemble", "gaussian", "--rows", "0", "--cols", "4"],
      "argument --rows: must be >= 1, got 0"),
-], ids=["k-list", "nx", "n", "bins", "rows"])
+    (["audit", "--matrix", "m.csv", "--rows", "99", "--cols", "3"],
+     "argument --rows: not allowed with argument --matrix"),
+    (["verify", "--matrix", "m.csv", "--cols", "3", "--k", "2"],
+     "argument --cols: not allowed with argument --matrix"),
+    (["phase", "--matrix", "m.csv", "--rows", "4", "--k-list", "1", "--solver", "omp"],
+     "argument --rows: not allowed with argument --matrix"),
+], ids=["k-list", "nx", "n", "bins", "rows", "audit-matrix-rows", "verify-matrix-cols",
+        "phase-matrix-rows"])
 def test_usage_error_messages(capsys, argv, message):
     assert run_cli(argv) == 2
     assert message in capsys.readouterr().err
@@ -318,8 +325,15 @@ PRESET = ["--preset", "spikes-fourier", "--n", "8", "--nx", "1", "--ne", "1"]
       "--solver", "omp"], "argument --ensemble: not allowed with argument --matrix"),
     (["separate"] + PRESET[:-1] + ["-2"], "argument --ne: must be >= 0, got -2"),
     (["audit"] + ENSEMBLE + ["--threads", "2"], "unrecognized arguments: --threads 2"),
+    (["audit", "--matrix", "m.csv", "--rows", "99", "--cols", "3"],
+     "argument --rows: not allowed with argument --matrix"),
+    (["verify", "--matrix", "m.csv", "--cols", "3", "--k", "2"],
+     "argument --cols: not allowed with argument --matrix"),
+    (["phase", "--matrix", "m.csv", "--rows", "4", "--k-list", "1", "--solver", "omp"],
+     "argument --rows: not allowed with argument --matrix"),
 ], ids=["rows-cols", "shape", "grid", "grid-range", "k-list", "k-list-order", "preset-files",
-        "n-files", "preset-n", "files", "no-source", "two-sources", "ne", "unknown"])
+        "n-files", "preset-n", "files", "no-source", "two-sources", "ne", "unknown",
+        "audit-matrix-rows", "verify-matrix-cols", "phase-matrix-rows"])
 def test_usage_errors_print_their_commands_usage(monkeypatch, capsys, argv, message):
     # argparse prints the usage of the parser whose error() is called; the
     # top-level one would list the four commands instead of this one's flags

@@ -26,17 +26,17 @@ from cohaudit import (
     profile,
 )
 from cohaudit import coherence
-from cohaudit.coherence import _BIN_CHUNK, _STRIP_BUDGET, _bin_counts
+from cohaudit.coherence import _BIN_CHUNK, _BLOCK_ROWS, _STRIP_BUDGET, _bin_counts
 from cohaudit.util import write_csv
 
 
-def strips_of(width, cols):
-    """Patch the strip budget so that strips against cols columns are width Gram rows wide.
+def blocks_of(geometry):
+    """Patch the block geometry: strips of rows Gram rows, read in blocks of width columns.
 
-    A width of None keeps the default budget.
+    geometry is (rows, width); None keeps the default (128, 4096).
     """
-    return mock.patch.object(coherence, "_STRIP_BUDGET",
-                             _STRIP_BUDGET if width is None else width * cols)
+    rows, width = geometry or (_BLOCK_ROWS, _STRIP_BUDGET // _BLOCK_ROWS)
+    return mock.patch.multiple(coherence, _BLOCK_ROWS=rows, _STRIP_BUDGET=rows * width)
 
 
 def _one_strip(values, source_dims):
@@ -79,7 +79,7 @@ def test_sample_blockwise_matches_direct():
     # so equality holds to last-bit accuracy, not bitwise.
     m = generate(EnsembleSpec("gaussian", 25, 60, 4))
     direct = coherence_sample(m)
-    with strips_of(7, m.cols):
+    with blocks_of((7, 16)):
         blocked = coherence_sample(m)
     assert direct.values.shape == blocked.values.shape
     assert np.allclose(direct.values, blocked.values, rtol=0.0, atol=1e-14)
@@ -241,7 +241,7 @@ def test_cross_blockwise_matches_direct():
     a = generate(EnsembleSpec("gaussian", 20, 30, 1))
     b = generate(EnsembleSpec("gaussian", 20, 25, 2))
     direct = cross_coherence(a, b)
-    with strips_of(4, b.cols):
+    with blocks_of((4, 7)):
         blocked = cross_coherence(a, b)
     assert np.isclose(direct.max_cross, blocked.max_cross, atol=1e-15)
     assert np.isclose(direct.std, blocked.std, atol=1e-12)
@@ -263,13 +263,13 @@ def test_cross_std_nearly_parallel_nonnegative():
 @given(ensemble=st.sampled_from(["gaussian", "bernoulli"]), rows=st.integers(2, 12),
        cols=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_streamed_statistics_match_materialised(ensemble, rows, cols, seed, data):
-    block = data.draw(st.integers(1, cols))
+    height, width = data.draw(st.integers(1, cols)), data.draw(st.integers(1, cols))
     bins = data.draw(st.none() | st.integers(1, 30))
-    with strips_of(block, cols):
+    with blocks_of((height, width)):
         streamed = coherence_sample(generate(EnsembleSpec(ensemble, rows, cols, seed)))
     whole = _one_strip(streamed.values, (rows, cols))
     a, b = profile(streamed, bins=bins), profile(whole, bins=bins)
-    one_strip = block >= cols - 1
+    one_strip = height >= cols - 1  # one block too: its first spans a column past its rows
     assert a == b or not one_strip
     assert (a.histogram, a.mutual_coherence, a.sample_count) == \
         (b.histogram, b.mutual_coherence, b.sample_count)
@@ -297,9 +297,10 @@ def _nearly_parallel(rows, cols):
                                     generate(EnsembleSpec("bernoulli", 16, 50, 6)),
                                     _nearly_parallel(50, 40)],
                          ids=["gaussian", "bernoulli", "nearly-parallel"])
-@pytest.mark.parametrize("block", [1, 3, 11, None])
+@pytest.mark.parametrize("block", [(1, 1), (3, 7), (11, 16), None],
+                         ids=["1", "3", "11", "None"])
 def test_moments_match_fsum_oracle(matrix, block):
-    with strips_of(block, matrix.cols):
+    with blocks_of(block):
         s = coherence_sample(matrix)
     v = [float(x) for x in s.values]
     mean = math.fsum(v) / len(v)
@@ -314,8 +315,7 @@ def test_moments_match_fsum_oracle(matrix, block):
 @pytest.mark.parametrize("matrix", [generate(EnsembleSpec("gaussian", 30, 70, 5)),
                                     _nearly_parallel(50, 40)])
 def test_one_strip_is_bitwise_the_materialised_sample(matrix):
-    with strips_of(matrix.cols, matrix.cols):
-        streamed = coherence_sample(matrix)
+    streamed = coherence_sample(matrix)  # N <= 128: one block
     whole = _one_strip(streamed.values, matrix.data.shape)
     assert profile(streamed) == profile(whole)
     assert normality_check(streamed) == normality_check(whole)
@@ -323,10 +323,10 @@ def test_one_strip_is_bitwise_the_materialised_sample(matrix):
 
 def test_profile_and_normality_share_two_gram_passes():
     passes = []
-    with strips_of(9, 40):
+    with blocks_of((9, 16)):
         s = coherence_sample(generate(EnsembleSpec("gaussian", 20, 40, 3)))
-    strips = s._strips
-    s._strips = lambda: passes.append(1) or strips()
+    blocks = s._blocks
+    s._blocks = lambda: passes.append(1) or blocks()
     profile(s, bins=7)
     normality_check(s)
     assert len(passes) == 2
@@ -335,22 +335,24 @@ def test_profile_and_normality_share_two_gram_passes():
 def test_statistics_leave_each_strips_non_pairs_as_computed():
     # the diagonal and the entries below it are read by no statistic, nor written
     m = generate(EnsembleSpec("gaussian", 20, 40, 3))
-    with strips_of(9, m.cols):
-        s = coherence_sample(m)  # 5 strips
-    seen, strips = [], s._strips
+    with blocks_of((9, 16)):
+        s = coherence_sample(m)  # 5 strips in 3, 2, 2, 1 and 1 blocks
+    seen, blocks = [], s._blocks
 
-    def kept_strips():
-        for g, upper in strips():
-            seen.append(g)
+    def kept_blocks():
+        for g, upper in blocks():
+            seen.append((g, upper))
             yield g, upper
 
-    s._strips = kept_strips
+    s._blocks = kept_blocks
     profile(s, bins=7)
     normality_check(s)
-    assert len(seen) == 2 * 5
-    for i, g in enumerate(seen):
+    assert [upper for _, upper in seen] == 2 * [True, False, False, True, False,
+                                                True, False, True, True]
+    diagonal = [g for g, upper in seen if upper]  # only a strip's first block has any
+    for i, g in enumerate(diagonal):
         a = 9 * (i % 5)
-        fresh = m.data[:, a:a + 9].T @ m.data[:, a:]
+        fresh = m.data[:, a:a + 9].T @ m.data[:, a:a + g.shape[1]]
         lower = np.arange(g.shape[1]) <= np.arange(g.shape[0])[:, None]
         assert np.array_equal(g[lower], fresh[lower])
 
@@ -370,9 +372,10 @@ def test_statistics_memory_below_half_the_pair_array():
 
 
 def test_statistics_memory_within_one_gram_strip():
-    # sixty-nine strips of 87 Gram rows, each read where the product leaves it
+    # 47 strips of 128 Gram rows, the first 15 in two blocks, each block
+    # read where the product leaves it
     m = generate(EnsembleSpec("gaussian", 20, 6000, 0))
-    strip_bytes = 8 * (_STRIP_BUDGET // m.cols) * m.cols
+    block_bytes = 8 * _BLOCK_ROWS * (_STRIP_BUDGET // _BLOCK_ROWS)
     tracemalloc.start()
     try:
         s = coherence_sample(m)
@@ -381,7 +384,55 @@ def test_statistics_memory_within_one_gram_strip():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * strip_bytes
+    assert peak < 1.3 * block_bytes
+
+
+def test_moment_pass_memory_is_a_block_not_the_gram(gauss_100x500):
+    # the sigma pass of verify, phase and separate on 100 x 500 holds four
+    # 128-row blocks in turn (0.5 MB each), not the 500 x 500 Gram (2 MB)
+    # and a copy of its triangle (1 MB)
+    s = coherence_sample(gauss_100x500)
+    tracemalloc.start()
+    try:
+        s._two_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("cols, budget", [(1, _STRIP_BUDGET), (2, _STRIP_BUDGET),
+                                          (127, _STRIP_BUDGET), (128, _STRIP_BUDGET),
+                                          (129, _STRIP_BUDGET), (4097, _STRIP_BUDGET),
+                                          (300, 5 * _BLOCK_ROWS)],
+                         ids=["1", "2", "127", "128", "129", "4097", "300-in-5-column-blocks"])
+def test_blocked_sample_is_bitwise_the_materialised_one(cols, budget):
+    # 16 bernoulli rows: every entry is +-1/4 and every pair a multiple of
+    # 1/16, exact in any summation order, so the pairs read block by block
+    # are the materialised Gram's bit for bit, in lexicographic order.  Up
+    # to 129 columns the one strip is one block and every statistic is the
+    # materialised sample's; past that mean, extremes and histogram are (the
+    # sums are exact), and std, from sums of rounded squares, is to 1e-12.
+    # The last case's blocks are narrower than its strips' 128 rows.
+    m = generate(EnsembleSpec("bernoulli", 16, cols, 1))
+    with mock.patch.object(coherence, "_STRIP_BUDGET", budget):
+        s = coherence_sample(m)
+    want = np.concatenate([np.zeros(0), *(m.data[:, i + 1:].T @ m.data[:, i]
+                                          for i in range(cols))])
+    assert np.array_equal(s.values, want)
+    whole = _one_strip(want, m.data.shape)
+    if cols < 2:
+        with pytest.raises(InsufficientDataError):
+            profile(s)
+        return
+    a, b = profile(s), profile(whole)
+    if cols <= 129:
+        assert a == b
+        assert cols < 15 or normality_check(s) == normality_check(whole)  # >= 100 pairs
+        return
+    assert (a.histogram, a.mutual_coherence, a.mean, a.sample_count) == \
+        (b.histogram, b.mutual_coherence, b.mean, b.sample_count)
+    assert a.std == pytest.approx(b.std, rel=1e-12, abs=0.0)
 
 
 def _obtuse_simplex(rows):
@@ -393,12 +444,13 @@ def _obtuse_simplex(rows):
     return normalize_columns(MeasurementMatrix(basis.T @ centred + noise))
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 30, None])
+@pytest.mark.parametrize("block", [(1, 1), (2, 3), (3, 5), (30, 7), None],
+                         ids=["1", "2", "3", "30", "None"])
 def test_non_pairs_of_a_strip_reach_no_statistic(block):
     # every pair is negative, so a diagonal 1 or a 0 left in a strip moves the
     # maximum, the histogram range or its counts
     m = _obtuse_simplex(30)
-    with strips_of(block, m.cols):
+    with blocks_of(block):
         s = coherence_sample(m)
     v = s.values
     assert v.max() < -0.02
@@ -464,8 +516,8 @@ def test_histogram_of_tied_pairs_is_numpys(rows):
     # bins put edges on them: every strip's ties go through the counter's
     # correction, in both of its pair parts
     m = generate(EnsembleSpec("bernoulli", rows, 200, 4))
-    with strips_of(16, m.cols):
-        s = coherence_sample(m)  # 13 strips
+    with blocks_of((16, 64)):
+        s = coherence_sample(m)  # 13 strips of 1 to 4 blocks
     v = s.values
     lo, hi = float(v.min()), float(v.max())
     steps = round((hi - lo) * rows)
@@ -482,10 +534,10 @@ def test_histogram_of_tied_pairs_is_numpys(rows):
 @pytest.mark.parametrize("env", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}],
                          ids=["malloc-default", "mmap-threshold"])
 def test_audit_peak_rss_within_one_strip_of_its_matrix(env):
-    # audit may hold one Gram strip and 3 MB more than a process that holds
+    # audit may hold one Gram block and 3 MB more than a process that holds
     # the package, the matrix and BLAS at work on a strip's columns
     rows, cols = 400, 8000
-    w = _STRIP_BUDGET // cols
+    h, w = _BLOCK_ROWS, _STRIP_BUDGET // _BLOCK_ROWS
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, **env)
 
@@ -506,5 +558,5 @@ def test_audit_peak_rss_within_one_strip_of_its_matrix(env):
                     "--cols", str(cols), "--seed", "0")
     control = peak_mb("-c", "import cohaudit\n"
                       f"d = cohaudit.generate(cohaudit.EnsembleSpec('gaussian', {rows}, {cols}, 0)).data\n"
-                      f"d[:, :{w}].T @ d[:, :{w}]")
-    assert audit <= control + 8 * w * cols / 2**20 + 3.0
+                      f"d[:, :{h}].T @ d[:, :{h}]")
+    assert audit <= control + 8 * h * w / 2**20 + 3.0

@@ -733,6 +733,22 @@ def test_solver_memory_is_bounded_by_chunks(monkeypatch, solver, options):
     assert peak < 10 * m.cols * trials * 8 + 2 * GATHER_ENTRIES * 8
 
 
+def test_cosamp_refit_memory_is_bounded_by_its_chunks(gauss_100x500):
+    # a phase-solvers cosamp refit: 50 trials at k = 28, each on a merged
+    # support of 3k = 84 atoms.  A chunk's gathered columns and Gram product,
+    # or its product, ridged copy and Cholesky factor, hold at most
+    # GATHER_ENTRIES floats; the rest is a few arrays of the mask's size
+    data = gauss_100x500.data
+    rng = np.random.default_rng(0)
+    mask = np.zeros((data.shape[1], 50), dtype=bool)
+    for t in range(mask.shape[1]):
+        mask[rng.choice(data.shape[1], 84, replace=False), t] = True
+    corr_y = data.T @ (data @ rng.standard_normal(mask.shape))
+    idx = np.arange(mask.shape[1])
+    peak = traced_peak(lambda: solvers._fit(data, corr_y, idx, mask, [[] for _ in idx]))
+    assert peak < GATHER_ENTRIES * 8 + 3 * mask.size * 8
+
+
 def same_per_column(data, ys, epsilon):
     """The lockstep block's SolveResults against the one-signal path's, repr for repr."""
     want = [ref.bpdn(data, y, epsilon) for y in ys.T]
