@@ -8,13 +8,14 @@ identical results at any thread count and in any execution order.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
 
 def _digest(seed, tags, size):
     h = hashlib.blake2b(digest_size=size)
-    h.update(str(int(seed)).encode())
+    h.update(str(operator.index(seed)).encode())
     for tag in tags:
         h.update(b"\x1f")
         h.update(str(tag).encode())

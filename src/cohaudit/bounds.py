@@ -56,13 +56,21 @@ def _floor(value):
     return math.floor(value + abs(value) * 1e-12)
 
 
+# Each domain check is written so that NaN fails it.
 def _check_tail_domain(t, k, sigma):
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    if k < 2:
+    if not k >= 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+
+
+def _check_band_domain(k, sigma):
+    if not k >= 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if not sigma >= 0.0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
 
 
 def sparsity_bounds(mu, sigma):
@@ -100,9 +108,9 @@ def coherence_band_probability(k, sigma):
     1 - exp(-1 / (2 (k-1)^2 sigma^2)).  For k = 1 the event is certain
     and 1.0 is returned by convention.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if k < 1:
+    if not k >= 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if k == 1:
         return 1.0
@@ -140,10 +148,7 @@ def rip_width(k, sigma, variant="energy"):
     ratios); variant 'spectral' uses g = 2 sigma sqrt(k(k-1)) (Gram
     operator deviation).  k = 1 gives a zero-width band.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    _check_band_domain(k, sigma)
     if variant == "energy":
         return 2.0 * sigma * math.sqrt(k - 1)
     if variant == "spectral":
@@ -157,10 +162,7 @@ def l1_stability_feasible(k, sigma):
     This is the inequality whose coarse solution gives l1_stability_k;
     evaluating it directly is sharper near the threshold.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    _check_band_domain(k, sigma)
     return 1.0 - 2.0 * sigma * math.sqrt(k - 1) - sigma * math.sqrt(k) >= 0.0
 
 
@@ -177,9 +179,9 @@ def separation_condition(sigma_left, sigma_right, sigma_cross, n_x, n_e):
     """
     for name, val in (("sigma_left", sigma_left), ("sigma_right", sigma_right),
                       ("sigma_cross", sigma_cross)):
-        if val < 0.0:
+        if not val >= 0.0:
             raise DomainError(f"{name} must be >= 0, got {val}")
-    if n_x < 1 or n_e < 1:
+    if not (n_x >= 1 and n_e >= 1):
         raise DomainError(f"sparsities must be >= 1, got n_x={n_x}, n_e={n_e}")
     g_x = 2.0 * sigma_left * math.sqrt(n_x - 1)
     g_e = 2.0 * sigma_right * math.sqrt(n_e - 1)

@@ -89,9 +89,7 @@ def _resolve_matrix(args, parser):
         spec = EnsembleSpec(args.ensemble, args.rows, args.cols, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    source = {"kind": "ensemble", "ensemble": spec.ensemble, "rows": spec.rows,
-              "cols": spec.cols, "seed": spec.seed}
-    return generate(spec), source
+    return generate(spec), {"kind": "ensemble", **asdict(spec)}
 
 
 def _thresholds(prof):

@@ -5,6 +5,7 @@ the role of dictionary atoms.  Generation is a pure function of the
 EnsembleSpec: same spec, same matrix, bit for bit.
 """
 
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,12 +42,12 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}, expected one of {ENSEMBLES}")
-        if self.rows < 1 or self.cols < 1:
+        if operator.index(self.rows) < 1 or operator.index(self.cols) < 1:
             raise DimensionError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         if self.ensemble == "partial_fourier" and self.rows > self.cols:
             raise DimensionError(
                 f"partial_fourier needs rows <= cols, got {self.rows}x{self.cols}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
@@ -224,57 +225,44 @@ def load_matrix(path):
     """Read a matrix written by save_matrix.
 
     The format comes from the file contents: binary if the magic
-    matches, CSV otherwise.
+    matches, CSV otherwise.  Every fault in the file is one
+    MatrixFormatError whose message starts with the path.
     """
     path = Path(path)
     blob = path.read_bytes()
-    if blob[:4] == _MAGIC:
-        return _parse_binary(blob, path)
-    return _parse_csv(blob, path)
+    try:
+        return MeasurementMatrix(_parse_binary(blob) if blob[:4] == _MAGIC else _parse_csv(blob))
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_binary(blob, path):
+def _parse_binary(blob):
     if len(blob) < 12:
-        raise MatrixFormatError(f"{path}: truncated header")
+        raise ValueError("truncated header")
     rows, cols = struct.unpack("<II", blob[4:12])
     expected = 12 + 8 * rows * cols
     if len(blob) != expected:
-        raise MatrixFormatError(
-            f"{path}: payload is {len(blob)} bytes, header implies {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=12).reshape(rows, cols)
-    try:
-        return MeasurementMatrix(data)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"payload is {len(blob)} bytes, header implies {expected}")
+    return np.frombuffer(blob, dtype="<f8", offset=12).reshape(rows, cols)
 
 
-def _parse_csv(blob, path):
+def _parse_csv(blob):
     try:
         lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from exc
+        raise ValueError(f"not UTF-8 text, {exc.reason} at byte {exc.start}") from exc
     if not lines:
-        raise MatrixFormatError(f"{path}: empty file")
+        raise ValueError("empty file")
     head = lines[0].split(",")
     if len(head) != 2:
-        raise MatrixFormatError(f"{path}: header must be 'rows,cols', got {lines[0]!r}")
+        raise ValueError(f"header must be 'rows,cols', got {lines[0]!r}")
     try:
         rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise MatrixFormatError(f"{path}: non-integer header {lines[0]!r}") from exc
+        raise ValueError(f"non-integer header {lines[0]!r}") from exc
     if rows < 0 or cols < 0:
-        raise MatrixFormatError(f"{path}: negative header dimension {lines[0]!r}")
-    values = []
-    try:
-        for ln in lines[1:]:
-            values.extend(float(tok) for tok in ln.split(","))
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"negative header dimension {lines[0]!r}")
+    values = [float(tok) for ln in lines[1:] for tok in ln.split(",")]
     if len(values) != rows * cols:
-        raise MatrixFormatError(
-            f"{path}: header says {rows}x{cols} = {rows * cols} values, found {len(values)}")
-    data = np.array(values).reshape(rows, cols)
-    try:
-        return MeasurementMatrix(data)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"header says {rows}x{cols} = {rows * cols} values, found {len(values)}")
+    return np.array(values).reshape(rows, cols)

@@ -8,6 +8,7 @@ with a finite-sample slack.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,7 @@ COEFF_MODELS = ("gaussian", "rademacher")
 
 
 @dataclass(frozen=True)
-class RatioSample:
-    """Energy ratios over random supports and coefficients."""
-
+class _Sample:
     values: np.ndarray
     trials: int
 
@@ -34,14 +33,13 @@ class RatioSample:
 
 
 @dataclass(frozen=True)
-class SpectralSample:
+class RatioSample(_Sample):
+    """Energy ratios over random supports and coefficients."""
+
+
+@dataclass(frozen=True)
+class SpectralSample(_Sample):
     """Gram-submatrix spectral deviations over random supports."""
-
-    values: np.ndarray
-    trials: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozen_copy(self.values))
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,9 @@ def _gram_blocks(data):
 
 def _check_sampling(matrix, k, trials):
     require_normalized(matrix)
-    if not 1 <= k <= matrix.cols:
+    if not 1 <= operator.index(k) <= matrix.cols:
         raise DomainError(f"need 1 <= k <= {matrix.cols}, got k={k}")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
 
 
@@ -167,7 +165,7 @@ def band_frequency(sample, g):
     error) inside a zero-width band; it is negligible against any
     statistically meaningful g.
     """
-    if g < 0.0:
+    if not g >= 0.0:
         raise DomainError(f"g must be >= 0, got {g}")
     v = sample.values
     lo, hi = 1.0 - g - BAND_ROUNDING, 1.0 + g + BAND_ROUNDING
@@ -227,7 +225,7 @@ def tail_check(sample, t_grid, bound_fn):
     points = []
     for t in t_grid:
         t = float(t)
-        if t <= 0.0:
+        if not t > 0.0:
             raise DomainError(f"tail grid points must be positive, got {t}")
         b = float(min(1.0, max(0.0, bound_fn(t))))
         emp = float(np.mean(devs > t))

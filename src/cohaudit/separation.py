@@ -8,6 +8,7 @@ compares the measured coherence spreads of D, B, and their cross
 products against the combined sparsity.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,9 @@ def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, t
     longer one at any thread count.
     """
     joint = joint_dictionary(left, right)
-    if not 0 <= n_x <= left.cols or not 0 <= n_e <= right.cols:
+    if not 0 <= operator.index(n_x) <= left.cols or not 0 <= operator.index(n_e) <= right.cols:
         raise DomainError(f"n_x={n_x}, n_e={n_e} do not fit {left.cols} and {right.cols} columns")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     zs = np.vstack([_plant(seed, "separation-x", n_x, left.cols, trials),
                     _plant(seed, "separation-e", n_e, right.cols, trials)])

@@ -7,6 +7,7 @@ the trial harnesses, which use keyed streams.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -89,11 +90,15 @@ class _Operand:
 
 
 def _operands(matrix, y):
-    """The matrix as a float array and y as a vector of matching length."""
+    """The matrix as a float array and y as a finite vector of matching length."""
     data = _Operand(matrix).data
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != data.shape[0]:
         raise DimensionError(f"y has length {y.size}, matrix has {data.shape[0]} rows")
+    with np.errstate(over="ignore"):  # as _observe: the residual norms need a finite ||y||^2
+        finite = np.isfinite(y @ y)
+    if not finite:
+        raise DomainError("y must be finite, with a finite squared norm")
     return data, y
 
 
@@ -101,9 +106,9 @@ def _check_k(k, solver, rows, cols):
     """Reject a solver name or sparsity k that the solver cannot take."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    if solver == "omp" and not 0 <= k <= min(rows, cols):
+    if solver == "omp" and not 0 <= operator.index(k) <= min(rows, cols):
         raise DomainError(f"need 0 <= k <= min(rows, cols) = {min(rows, cols)}, got {k}")
-    if not 0 <= k <= cols:
+    if not 0 <= operator.index(k) <= cols:
         raise DomainError(f"need 0 <= k <= {cols}, got {k}")
 
 
@@ -135,7 +140,8 @@ def _fit(data, corr_y, idx, mask, flags):
     its ridged copy and their Cholesky factor.  Each system is factored and
     solved on its own, so its result does not depend on the chunk it is in.
     """
-    order = np.argsort(~mask, axis=0, kind="stable")[:mask.sum(axis=0).max()]
+    # a copy of the m rows read, so that the whole sort is freed at once
+    order = np.argsort(~mask, axis=0, kind="stable")[:mask.sum(axis=0).max()].copy()
     sets, real = order.T, np.take_along_axis(mask, order, axis=0).T
     m = sets.shape[1]
     eye = np.eye(m)
@@ -452,13 +458,13 @@ def _homotopy(data, ys, epsilon, lam_stop):
     for step in range(1, 10 * cols + 1):
         if n == 0:
             break
-        width, sizes = n_act.max(), set(n_act.tolist())
+        width = n_act.max()
         coef, direction = np.zeros((n, width)), np.zeros((n, width))
         fit, v, ok = np.empty((n, rows)), np.empty((n, rows)), np.ones(n, bool)
-        for m in sizes:
-            group = np.flatnonzero(n_act == m) if len(sizes) > 1 else np.arange(n)
+        for m in set(n_act.tolist()):
+            group = np.flatnonzero(n_act == m)
             for sl in _chunks(group.size, m, rows):
-                t = group[sl] if len(sizes) > 1 else sl
+                t = group[sl]
                 sub_t, s = data.T[act[t, :m]], sgn[t, :m]  # M[:, A].T, each t, C-ordered
                 sub, b = sub_t.transpose(0, 2, 1), np.empty(s.shape + (2,))
                 b[:, :, 0], b[:, :, 1] = (sub_t @ ys[t, :, None])[:, :, 0] - lam[t, None] * s, s
@@ -717,12 +723,12 @@ def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
     by (seed, k), trial i from row i, and is solved as in _trials, so the
     curve is reproducible at any thread count.
     """
-    k_list = [int(k) for k in k_list]
+    k_list = [operator.index(k) for k in k_list]
     if not k_list:
         raise ValueError("k_list must be nonempty")
     if any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be strictly ascending")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     op, points = _Operand(matrix), []
     for k in k_list:

@@ -5,6 +5,8 @@ import pytest
 
 from cohaudit import (
     DomainError,
+    RatioSample,
+    band_frequency,
     coherence_band_probability,
     energy_deviation_tail,
     l1_stability_feasible,
@@ -12,6 +14,7 @@ from cohaudit import (
     separation_condition,
     sparsity_bounds,
     spectral_deviation_tail,
+    tail_check,
 )
 
 
@@ -205,3 +208,41 @@ def test_separation_condition_domain():
         separation_condition(-0.1, 0.1, 0.1, 2, 2)
     with pytest.raises(DomainError):
         separation_condition(0.1, 0.1, 0.1, 0, 2)
+
+
+NAN_SAMPLE = RatioSample(values=np.ones(4), trials=4)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (energy_deviation_tail, (math.nan, 4, 0.1)),
+    (energy_deviation_tail, (0.5, math.nan, 0.1)),
+    (energy_deviation_tail, (0.5, 4, math.nan)),
+    (spectral_deviation_tail, (1.0, 4, math.nan)),
+    (coherence_band_probability, (4, math.nan)),
+    (coherence_band_probability, (math.nan, 0.1)),
+    (rip_width, (4, math.nan)),
+    (rip_width, (math.nan, 0.1)),
+    (l1_stability_feasible, (4, math.nan)),
+    (l1_stability_feasible, (math.nan, 0.1)),
+    (separation_condition, (math.nan, 0.1, 0.1, 2, 2)),
+    (separation_condition, (0.1, 0.1, math.nan, 2, 2)),
+    (separation_condition, (0.1, 0.1, 0.1, 2, math.nan)),
+    (tail_check, (NAN_SAMPLE, [math.nan], lambda t: 0.5)),
+    (band_frequency, (NAN_SAMPLE, math.nan)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_nan_fails_every_domain_check(fn, args):
+    # a check written as `x < 0` lets NaN through to a NaN, 0.0 or 1.0 result
+    with pytest.raises(DomainError, match="nan"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (energy_deviation_tail, (0.5, 4, 0.0), "sigma must be positive, got 0.0"),
+    (rip_width, (3, -0.1), "sigma must be >= 0, got -0.1"),
+    (l1_stability_feasible, (0, 0.1), "k must be >= 1, got 0"),
+    (l1_stability_feasible, (3, -0.1), "sigma must be >= 0, got -0.1"),
+])
+def test_domain_messages(fn, args, message):
+    with pytest.raises(DomainError) as err:
+        fn(*args)
+    assert str(err.value) == message

@@ -560,3 +560,18 @@ def test_audit_peak_rss_within_one_strip_of_its_matrix(env):
                       f"d = cohaudit.generate(cohaudit.EnsembleSpec('gaussian', {rows}, {cols}, 0)).data\n"
                       f"d[:, :{h}].T @ d[:, :{h}]")
     assert audit <= control + 8 * h * w / 2**20 + 3.0
+
+
+def test_values_of_a_sample_read_as_one_strip():
+    # a first block without its diagonal is taken whole, not masked
+    v = np.array([0.25, -0.5, 0.125])
+    s = _one_strip(v, (4, 3))
+    assert np.array_equal(s.values, v) and not s.values.flags.writeable
+
+
+def test_cross_coherence_with_an_empty_side():
+    left = MeasurementMatrix(np.eye(3))
+    empty = MeasurementMatrix(np.zeros((3, 0)))
+    for a, b in ((left, empty), (empty, left)):
+        assert cross_coherence(a, b) == coherence.CrossCoherenceProfile(
+            max_cross=0.0, std=0.0, mean=0.0, sample_count=0)

@@ -1,3 +1,5 @@
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -313,3 +315,43 @@ def test_format_sniffing(tmp_path):
     save_matrix(m, csv_path, "csv")
     assert np.array_equal(load_matrix(bin_path).data, m.data)
     assert np.array_equal(load_matrix(csv_path).data, m.data)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"", "empty file"),
+    (b"2,3,4\n", "header must be 'rows,cols', got '2,3,4'"),
+    (b"2,x\n", "non-integer header '2,x'"),
+    (b"-1,2\n", "negative header dimension '-1,2'"),
+    (b"1,2\n1,y\n", "could not convert string to float: 'y'"),
+    (b"2,2\n1,0\n", "header says 2x2 = 4 values, found 2"),
+    (b"1,1\nnan\n", "matrix entries must be finite"),
+    (b"0,2\n", "matrix needs at least one row"),
+    (b"2,2\n1,\xff\n0,1\n", "not UTF-8 text, invalid start byte at byte 6"),
+    (b"CAMX\x01\x00", "truncated header"),
+    (b"CAMX" + struct.pack("<II", 1, 2) + b"\x00" * 8, "payload is 20 bytes, header implies 28"),
+    (b"CAMX" + struct.pack("<II", 1, 1) + struct.pack("<d", math.inf),
+     "matrix entries must be finite"),
+])
+def test_every_matrix_file_fault_names_the_file(tmp_path, blob, message):
+    path = tmp_path / "m.mat"
+    path.write_bytes(blob)
+    with pytest.raises(MatrixFormatError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_reported_input_faults(tmp_path):
+    with pytest.raises(MatrixFormatError) as err:
+        save_matrix(generate(EnsembleSpec("gaussian", 2, 2, 0)), tmp_path / "m", "npy")
+    assert str(err.value) == "unknown matrix format 'npy'"
+    with pytest.raises(DimensionError) as err:
+        real_fourier_frame(0)
+    assert str(err.value) == "frame size must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("args", [("gaussian", 4, 4, 1.5), ("gaussian", 4.0, 4, 1),
+                                  ("bernoulli", 4, 4.5, 1), ("gaussian", 4, 4, "1")])
+def test_spec_takes_only_integer_sizes_and_seed(args):
+    # a float seed hashed as int(seed) would draw the matrix of another seed
+    with pytest.raises(TypeError):
+        EnsembleSpec(*args)

@@ -1,5 +1,6 @@
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import FrozenInstanceError, fields
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohaudit import (
+    DimensionError,
     DomainError,
     EnsembleSpec,
     MeasurementMatrix,
+    RatioSample,
+    SpectralSample,
     band_frequency,
     coherence_sample,
     energy_identity_gap,
@@ -22,7 +26,7 @@ from cohaudit import (
     tail_check,
 )
 from cohaudit import coherence
-from cohaudit._streams import k_subset, k_subsets, stream
+from cohaudit._streams import k_subset, k_subsets, stream, substream_seed
 from cohaudit.bounds import energy_deviation_tail, rip_width, spectral_deviation_tail
 from cohaudit.linalg import operator_norm, sym_opnorm
 from cohaudit.ripcheck import BLOCK_TRIALS, _columns, _gram_blocks
@@ -421,3 +425,70 @@ def test_gram_and_gather_paths_agree(case, trials, model):
     for a, b in ((gram_r, gather_r), (gram_s, gather_s)):
         assert [p.empirical for p in tail_check(a, grid, lambda t: 0.5)] == \
             [p.empirical for p in tail_check(b, grid, lambda t: 0.5)]
+
+
+@pytest.mark.parametrize("sampler, args", [
+    (sample_ratios, (3, 50, 1.5)),  # int(1.5) drew exactly the sample of seed 1
+    (sample_ratios, (3.0, 50, 1)),
+    (sample_ratios, (3, 50.0, 1)),
+    (sample_spectral, (3, 50, 1.5)),
+    (sample_spectral, (np.float64(3), 50, 1)),
+    (sample_spectral, (3, 50.0, 1)),
+])
+def test_samplers_take_only_integer_k_trials_and_seed(gauss_200x400, sampler, args):
+    with pytest.raises(TypeError):
+        sampler(gauss_200x400, *args)
+
+
+def test_streams_take_integer_seeds_of_any_integer_type():
+    assert stream(np.uint64(7), "a").random() == stream(7, "a").random()
+    assert substream_seed(np.int32(7), "a") == substream_seed(7, "a")
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            stream(seed, "a")
+        with pytest.raises(TypeError):
+            substream_seed(seed, "a")
+
+
+def test_substream_seed_is_a_keyed_63_bit_integer():
+    seeds = {substream_seed(seed, *tags) for seed in (0, 1) for tags in ((), ("a",), ("a", 2))}
+    assert len(seeds) == 6 and all(0 <= s < 2**63 for s in seeds)
+    assert substream_seed(1, "a", 2) == substream_seed(1, "a", 2)
+
+
+def test_k_subsets_rejects_k_above_n():
+    with pytest.raises(ValueError) as err:
+        k_subsets(stream(0, "a"), 3, 4, 2)
+    assert str(err.value) == "need 0 <= k <= n, got k=4, n=3"
+
+
+def test_reported_input_faults(gauss_200x400):
+    with pytest.raises(ValueError) as err:
+        sample_ratios(gauss_200x400, 3, 10, 1, coeff_model="uniform")
+    assert str(err.value) == "unknown coefficient model 'uniform'"
+    with pytest.raises(TypeError) as err:
+        tail_check([1.0, 1.1], [0.1], lambda t: 0.5)
+    assert str(err.value) == "cannot tail-check list"
+    with pytest.raises(DimensionError) as err:
+        energy_identity_gap(gauss_200x400, [0, 1], [1.0])
+    assert str(err.value) == "support and coeffs must have equal length"
+
+
+def test_empty_supports_and_operands_have_norm_zero(gauss_200x400):
+    assert spectral_deviation(gauss_200x400, []) == 0.0
+    assert sym_opnorm(np.zeros((0, 0))) == 0.0
+    assert operator_norm(np.zeros((0, 4))) == 0.0
+    assert operator_norm(np.zeros((3, 0))) == 0.0
+
+
+def test_ratio_and_spectral_samples_are_distinct_frozen_dataclasses():
+    ratio = RatioSample(values=[1.0, 2.0], trials=2)
+    spectral = SpectralSample(values=[1.0, 2.0], trials=2)
+    assert [f.name for f in fields(ratio)] == [f.name for f in fields(spectral)] == [
+        "values", "trials"]
+    assert repr(ratio) == "RatioSample(values=array([1., 2.]), trials=2)"
+    assert repr(spectral) == "SpectralSample(values=array([1., 2.]), trials=2)"
+    assert ratio != spectral and not ratio.values.flags.writeable
+    for name in ("trials", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(spectral, name, 3)

@@ -246,3 +246,11 @@ def test_separation_feasibility_orthogonal_blocks():
     cond = separation_feasibility(MeasurementMatrix(eye[:, :8]), MeasurementMatrix(eye[:, 8:]),
                                   3, 3)
     assert cond.g_joint == 0.0  # zero spreads through and through
+
+
+@pytest.mark.parametrize("args", [(2.5, 2, 3, 1), (2, np.float64(2.0), 3, 1), (2, 2, 3.0, 1),
+                                  (2, 2, 3, 1.5)])
+def test_separation_trials_take_only_integer_counts_and_seed(args):
+    left, right = spikes_fourier_pair(8)
+    with pytest.raises(TypeError):
+        separation_trials(left, right, *args)

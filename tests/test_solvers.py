@@ -857,3 +857,56 @@ def test_lockstep_bpdn_is_the_one_signal_path_on_random_blocks(seed):
     top = float(np.linalg.norm(ys, axis=0).max())
     for epsilon in (0.0, 1e-9 * top, 0.3 * top):
         same_per_column(data, ys, epsilon)
+
+
+@pytest.mark.parametrize("solve, arg", [(omp, 3), (iht, 3), (cosamp, 3), (lasso, 0.1),
+                                        (bpdn, 0.0)], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_solvers_reject_observations_without_a_finite_norm(gauss_100x500, solve, arg, bad):
+    # at NaN cosamp failed inside numpy and iht and lasso returned converged;
+    # at inf omp returned a non-finite estimate and bpdn 'infeasible-epsilon'
+    y = gauss_100x500.data[:, :3].sum(axis=1)
+    y[[4, 40]] = bad
+    with pytest.raises(DomainError) as err:
+        solve(gauss_100x500, y, arg)
+    assert str(err.value) == "y must be finite, with a finite squared norm"
+
+
+@pytest.mark.parametrize("k_list, trials", [([2.7], 2), ([2, np.float64(3.0)], 2), ([2], 2.0)])
+def test_phase_curve_takes_only_integer_k_and_trials(gauss_100x500, k_list, trials):
+    # int(k) ran k = 2.7 and reported k = 2
+    with pytest.raises(TypeError):
+        phase_curve(gauss_100x500, k_list, "omp", trials, 0.0, 1)
+
+
+@pytest.mark.parametrize("solve", [omp, iht, cosamp], ids=lambda f: f.__name__)
+def test_solvers_take_only_an_integer_k(gauss_100x500, solve):
+    with pytest.raises(TypeError):
+        solve(gauss_100x500, gauss_100x500.data[:, 0], 2.5)
+
+
+def test_cosamp_refit_frees_its_sort_before_the_result(gauss_100x500):
+    # 200 columns on merged supports of 84 atoms.  The result is cols x
+    # columns floats; the stable sort that orders each column's set is as
+    # large in int64, and while any view of it is held it stays alive beside
+    # the result (3.4 result sizes at the peak, against 2.6 with m rows copied)
+    data = gauss_100x500.data
+    rng = np.random.default_rng(0)
+    mask = np.zeros((data.shape[1], 200), dtype=bool)
+    for t in range(mask.shape[1]):
+        mask[rng.choice(data.shape[1], 84, replace=False), t] = True
+    corr_y = data.T @ (data @ rng.standard_normal(mask.shape))
+    idx = np.arange(mask.shape[1])
+    peak = traced_peak(lambda: solvers._fit(data, corr_y, idx, mask, [[] for _ in idx]))
+    assert peak < GATHER_ENTRIES * 8 + 2.5 * mask.size * 8
+
+
+def test_reported_input_faults(gauss_100x500):
+    cases = [(lambda: wilson_interval(0, 0), "trials must be >= 1, got 0"),
+             (lambda: wilson_interval(5, 4), "need 0 <= successes <= trials, got 5/4"),
+             (lambda: phase_curve(gauss_100x500, [2], "omp", 0, 0.0, 1),
+              "trials must be >= 1, got 0")]
+    for call, message in cases:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message

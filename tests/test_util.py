@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cohaudit import util
@@ -33,3 +34,15 @@ def test_write_csv_lines(tmp_path):
     path = tmp_path / "t.csv"
     util.write_csv(path, "a,b", "%d,%.12g", [(1, 0.1), (2, 1 / 3)])
     assert path.read_text() == "a,b\n1,0.1\n2,0.333333333333\n"
+
+
+@pytest.mark.parametrize("obj, error, message", [
+    ({"x": float("nan")}, ValueError, "non-finite float in report"),
+    ([np.float64("inf")], ValueError, "non-finite float in report"),
+    ({1: 2}, TypeError, "report keys must be strings, got 1"),
+    ({"x": {1, 2}}, TypeError, "cannot serialize set in report"),
+])
+def test_canonical_json_rejects_what_json_cannot_hold(obj, error, message):
+    with pytest.raises(error) as err:
+        util.canonical_json(obj)
+    assert str(err.value) == message
