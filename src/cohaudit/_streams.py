@@ -22,10 +22,10 @@ def _digest(seed, tags, size):
     return h.digest()
 
 
-def stream(seed, *tags):
-    """Fresh Philox generator keyed by blake2b(seed, *tags)."""
-    key = np.frombuffer(_digest(seed, tags, 16), dtype="<u8")
-    return np.random.Generator(np.random.Philox(key=key))
+def stream(seed, *tags, jump=0):
+    """Fresh Philox generator keyed by blake2b(seed, *tags), jump * 2**128 draws on."""
+    bits = np.random.Philox(key=np.frombuffer(_digest(seed, tags, 16), dtype="<u8"))
+    return np.random.Generator(bits.jumped(jump) if jump else bits)
 
 
 def substream_seed(seed, *tags):

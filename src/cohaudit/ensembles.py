@@ -91,6 +91,12 @@ def _column_norms(data):
     return norms
 
 
+def _finite(arr):
+    """Whether every entry of arr is finite: min and max carry any NaN or inf, with no
+    array of flags the size of arr."""
+    return np.isfinite(np.min(arr, initial=0.0)) and np.isfinite(np.max(arr, initial=0.0))
+
+
 def _adopt(matrix, arr):
     """Check arr and freeze it as matrix.data, uncopied: arr is new and held nowhere else."""
     arr = np.asarray(arr, dtype=np.float64, order="C")  # a no-op on the arrays made here
@@ -98,8 +104,7 @@ def _adopt(matrix, arr):
         raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise DimensionError("matrix needs at least one row")
-    # min and max carry any NaN or inf, with no rows x cols array of flags
-    if not (np.isfinite(np.min(arr, initial=0.0)) and np.isfinite(np.max(arr, initial=0.0))):
+    if not _finite(arr):
         raise ValueError("matrix entries must be finite")
     arr.flags.writeable = False
     object.__setattr__(matrix, "data", arr)

@@ -61,12 +61,12 @@ BLOCK_TRIALS = 1024
 GATHER_ENTRIES = 2**16
 
 
-def _map_blocks(fn, trials, threads):
-    """fn(j, size) over the blocks of range(trials), concatenated in order."""
-    def one(start):
-        return fn(start // BLOCK_TRIALS, min(BLOCK_TRIALS, trials - start))
-
-    return np.concatenate(parallel_map(one, range(0, trials, BLOCK_TRIALS), threads))
+def _map_blocks(fn, trials, threads, groups=(None,)):
+    """fn(group, j, size) for each group and block j, on the threads: a result list per group."""
+    sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
+    items = [(group, j, size) for group in groups for j, size in enumerate(sizes)]
+    done = parallel_map(lambda item: fn(*item), items, threads)
+    return [done[i:i + len(sizes)] for i in range(0, len(done), len(sizes))]
 
 
 def _block_draws(seed, purpose, k, cols, j, size, model="gaussian"):
@@ -142,7 +142,7 @@ def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
         raise ValueError(f"unknown coefficient model {coeff_model!r}")
     gram_blocks = _gram_blocks(matrix.data)
 
-    def block(j, size):
+    def block(_, j, size):
         supports, coeffs = _block_draws(seed, "ratio", k, matrix.cols, j, size, coeff_model)
         out = np.empty(size)
         for sl, g in gram_blocks(supports):
@@ -150,7 +150,7 @@ def sample_ratios(matrix, k, trials, seed, coeff_model="gaussian", threads=1):
             out[sl] = _row_dot((c[:, None, :] @ g)[:, 0], c)
         return out / _row_dot(coeffs, coeffs)
 
-    values = _map_blocks(block, trials, threads)
+    values = np.concatenate(_map_blocks(block, trials, threads)[0])
     return RatioSample(values=values, trials=trials)
 
 
@@ -196,14 +196,14 @@ def sample_spectral(matrix, k, trials, seed, threads=1):
     gram_blocks = _gram_blocks(matrix.data)
     eye = np.eye(k)
 
-    def block(j, size):
+    def block(_, j, size):
         supports = k_subsets(stream(seed, "spectral", k, "support", j), matrix.cols, k, size)
         out = np.empty(size)
         for sl, g in gram_blocks(supports):
             out[sl] = np.abs(np.linalg.eigvalsh(g - eye)).max(axis=1)
         return out
 
-    values = _map_blocks(block, trials, threads)
+    values = np.concatenate(_map_blocks(block, trials, threads)[0])
     return SpectralSample(values=values, trials=trials)
 
 

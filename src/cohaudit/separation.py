@@ -17,6 +17,7 @@ from .bounds import separation_condition
 from .coherence import coherence_sample, cross_coherence
 from .ensembles import MeasurementMatrix, _adopt, _normalize_in_place, real_fourier_frame
 from .errors import DimensionError, DomainError
+from .ripcheck import _map_blocks
 from .solvers import _bpdn, _bpdn_epsilon, _observe, _plant, _score, bpdn
 
 
@@ -78,29 +79,32 @@ def separation_trials(left, right, n_x, n_e, trials, seed, noise_sigma=0.0, *, t
 
     Each draws n_x atoms of left and n_e of right with Gaussian values,
     mixes, optionally adds noise, separates on [left right] at phase's
-    bpdn budget, and scores both components.  Trial i is row i of one
-    block of keyed draws, and its lockstep solve does not depend on the
-    trials it shares a run with, so a shorter run is a prefix of a
-    longer one at any thread count.
+    bpdn budget, and scores both components, one block of trials at a
+    time.  Trial i is a row of its block's keyed draws, and its lockstep
+    solve does not depend on the trials it shares a run with, so a
+    shorter run is a prefix of a longer one at any thread count.
     """
     joint = joint_dictionary(left, right)
     if not 0 <= operator.index(n_x) <= left.cols or not 0 <= operator.index(n_e) <= right.cols:
         raise DomainError(f"n_x={n_x}, n_e={n_e} do not fit {left.cols} and {right.cols} columns")
     if operator.index(trials) < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    zs = np.vstack([_plant(seed, "separation-x", n_x, left.cols, trials),
-                    _plant(seed, "separation-e", n_e, right.cols, trials)])
-    # one product per trial, so trial i's bits do not depend on the block's width
-    ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed,
-                  "separation-noise")
-    solved = _bpdn(joint.data, ys, _bpdn_epsilon(noise_sigma, left.rows), threads)
-    out = []
-    for res, z in zip(solved, zs.T):
-        x_rel, x_est, x_true = _score(res.estimate[:left.cols], z[:left.cols], noise_sigma)
-        e_rel, e_est, e_true = _score(res.estimate[left.cols:], z[left.cols:], noise_sigma)
-        out.append(SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
-                                   res.residual_norm, res.converged))
-    return out
+
+    def block(_, j, size):
+        zs = np.vstack([_plant(seed, "separation-x", n_x, left.cols, size, j),
+                        _plant(seed, "separation-e", n_e, right.cols, size, j)])
+        # one product per trial, so trial i's bits do not depend on the block's width
+        ys = _observe(np.column_stack([joint.data @ z for z in zs.T]), noise_sigma, seed,
+                      "separation-noise", j=j)
+        out = []
+        for res, z in zip(_bpdn(joint.data, ys, _bpdn_epsilon(noise_sigma, left.rows)), zs.T):
+            x_rel, x_est, x_true = _score(res.estimate[:left.cols], z[:left.cols], noise_sigma)
+            e_rel, e_est, e_true = _score(res.estimate[left.cols:], z[left.cols:], noise_sigma)
+            out.append(SeparationTrial(x_rel, e_rel, x_est == x_true, e_est == e_true,
+                                       res.residual_norm, res.converged))
+        return out
+
+    return [t for run in _map_blocks(block, trials, threads)[0] for t in run]
 
 
 def separation_trial(left, right, n_x, n_e, seed, noise_sigma=0.0):

@@ -14,11 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from ._streams import stream
-from .ensembles import MeasurementMatrix
+from .ensembles import MeasurementMatrix, _finite
 from .errors import DimensionError, DomainError
 from .linalg import operator_norm
-from .ripcheck import BLOCK_TRIALS, _block_draws, _chunks, _columns, _row_dot
-from .util import parallel_map
+from .ripcheck import BLOCK_TRIALS, _block_draws, _chunks, _columns, _map_blocks, _row_dot
 
 SOLVERS = ("omp", "iht", "cosamp", "bpdn")
 
@@ -90,8 +89,10 @@ class _Operand:
 
 
 def _operands(matrix, y):
-    """The matrix as a float array and y as a finite vector of matching length."""
+    """The matrix as a finite float array and y as a finite vector of matching length."""
     data = _Operand(matrix).data
+    if not _finite(data):
+        raise DomainError("matrix entries must be finite")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != data.shape[0]:
         raise DimensionError(f"y has length {y.size}, matrix has {data.shape[0]} rows")
@@ -161,8 +162,9 @@ def _fit(data, corr_y, idx, mask, flags):
         _flag(flags, idx[sl][singular], "regularized")
         np.copyto(blocks, ridged, where=singular[:, None, None])
         coef[sl] = np.linalg.solve(blocks, rhs[sl, :, None])[:, :, 0]
+    del blocks, ridged, rhs  # the last chunk's arrays, freed before the result is built
     full = np.zeros(mask.shape)
-    full[sets[real], np.nonzero(real)[0]] = coef[real]
+    np.put_along_axis(full.T, sets, coef * real, axis=1)  # a padding entry writes a zero
     return full
 
 
@@ -580,14 +582,12 @@ def bpdn(matrix, y, epsilon):
     return _bpdn(data, y[:, None], epsilon)[0]
 
 
-def _bpdn(data, ys, epsilon, threads=1):
-    """bpdn on each column of ys: on a lockstep _homotopy per run of consecutive
-    columns, the runs shared out to threads."""
+def _bpdn(data, ys, epsilon):
+    """bpdn on each column of ys: a lockstep _homotopy per run of consecutive columns."""
     size, most = ys.shape[1], min(BLOCK_TRIALS, max(1, _RUN_ENTRIES // max(data.shape[1], 1)))
-    runs = np.array_split(np.arange(size), max(min(threads, size), -(-size // most)))
+    runs = np.array_split(np.arange(size), -(-size // most))
     if len(runs) > 1:
-        return [res for run in parallel_map(lambda run: _bpdn(data, ys[:, run], epsilon), runs,
-                                            threads) for res in run]
+        return [res for run in runs for res in _bpdn(data, ys[:, run], epsilon)]
     ynorm = _norms(np.ascontiguousarray(ys.T)).tolist()
     x, resid, lam, steps, flag, reached = _homotopy(data, ys, epsilon, 0.0)
     out = []
@@ -602,21 +602,22 @@ def _bpdn(data, ys, epsilon, threads=1):
     return out
 
 
-def _plant(seed, purpose, k, cols, trials):
-    """(cols, trials) planted signals; column i is row i of _block_draws' block 0 at (seed, k)."""
-    supports, values = _block_draws(seed, purpose, k, cols, 0, trials)
+def _plant(seed, purpose, k, cols, trials, j=0):
+    """(cols, trials) planted signals; column i is row i of _block_draws' block j at (seed, k)."""
+    supports, values = _block_draws(seed, purpose, k, cols, j, trials)
     x = np.zeros((cols, trials))
     x[supports, np.arange(trials)[:, None]] = values
     return x
 
 
-def _observe(clean, noise_sigma, seed, *tags):
-    """clean plus N(0, noise_sigma^2) from stream(seed, *tags); a block draws column by column."""
+def _observe(clean, noise_sigma, seed, *tags, j=0):
+    """clean plus N(0, noise_sigma^2) from stream(seed, *tags, jump=j), column by column."""
     _check_nonnegative("noise_sigma", noise_sigma)
     if noise_sigma == 0:
         return clean
     with np.errstate(over="ignore", invalid="ignore"):
-        noisy = clean + noise_sigma * stream(seed, *tags).standard_normal(clean.shape[::-1]).T
+        noise = stream(seed, *tags, jump=j).standard_normal(clean.shape[::-1]).T
+        noisy = clean + noise_sigma * noise
         # the squared norm of every noisy column must be finite for the solvers' residuals
         if not np.all(np.isfinite(np.einsum("i...,i...->...", noisy, noisy))):
             raise DomainError(f"noise_sigma={noise_sigma!r} is too large: observations overflow")
@@ -628,6 +629,8 @@ def _score(estimate, truth, noise_sigma):
 
     An estimate entry is support above 10 * noise_sigma, or 1e-6 when noiseless.
     """
+    # columns of a 1024-trial block are 8 KiB apart: read each once, not five times
+    estimate, truth = np.ascontiguousarray(estimate), np.ascontiguousarray(truth)
     norm = float(np.linalg.norm(truth))
     err = float(np.linalg.norm(estimate - truth))
     tol = 10.0 * noise_sigma if noise_sigma > 0 else 1e-6
@@ -644,17 +647,13 @@ def _bpdn_epsilon(noise_sigma, rows):
 def _trials(op, k_list, solver, noise_sigma, seed, trials, threads=1):
     """Planted trials 0 to trials - 1 at seed for each k: a list of TrialResults per k.
 
-    The trials of one k are solved together as the columns of one block,
-    threads sharing out whole k; bpdn, which takes no k, solves the trials
-    of every k together on its lockstep path.
+    Block j of each k's trials is planted, solved as the columns of one
+    array and scored as one work item of _map_blocks; bpdn, which takes no
+    k, solves block j of every k together on its lockstep path.
     """
     rows, cols = op.data.shape
     for k in k_list:
         _check_k(k, solver, rows, cols)
-
-    def planted(k):
-        truths = _plant(seed, "signal", k, cols, trials)
-        return truths, _observe(op.data @ truths, noise_sigma, seed, "noise", k)
 
     def scored(truths, solved):
         out = []
@@ -671,17 +670,20 @@ def _trials(op, k_list, solver, noise_sigma, seed, trials, threads=1):
                                    converged=res.converged, flags=res.flags))
         return out
 
-    def solved(k):  # each k's estimates are scored and dropped before the next k's
-        truths, ys = planted(k)
-        return scored(truths, {"omp": _omp, "iht": _iht, "cosamp": _cosamp}[solver](op, ys, k))
+    kernel = {"omp": _omp, "iht": _iht, "cosamp": _cosamp}.get(solver)
+    epsilon = _bpdn_epsilon(noise_sigma, rows)
 
-    if solver != "bpdn":
-        return parallel_map(solved, k_list, threads)
-    blocks = [planted(k) for k in k_list]
-    flat = _bpdn(op.data, np.hstack([ys for _, ys in blocks]), _bpdn_epsilon(noise_sigma, rows),
-                 threads)
-    return [scored(truths, flat[i * trials:(i + 1) * trials]) for i, (truths, _) in
-            enumerate(blocks)]
+    def block(ks, j, size):  # a block's estimates are scored and dropped before the next's
+        xs = [_plant(seed, "signal", k, cols, size, j) for k in ks]
+        ys = [_observe(op.data @ x, noise_sigma, seed, "noise", k, j=j) for k, x in zip(ks, xs)]
+        ys = ys[0] if len(ys) == 1 else np.hstack(ys)
+        flat = kernel(op, ys, ks[0]) if kernel else _bpdn(op.data, ys, epsilon)
+        return [scored(x, flat[i * size:(i + 1) * size]) for i, x in enumerate(xs)]
+
+    groups = [[k] for k in k_list] if kernel else [k_list]
+    return [[r for run in runs for r in run[i]]
+            for ks, runs in zip(groups, _map_blocks(block, trials, threads, groups))
+            for i in range(len(ks))]
 
 
 def recovery_trial(matrix, k, solver, noise_sigma, seed):
@@ -719,9 +721,9 @@ def phase_curve(matrix, k_list, solver, trials, noise_sigma, seed, threads=1):
 
     Every trial runs on the one given matrix, every k is checked against
     the solver before the first trial, and the IHT step is computed once
-    per curve.  Each k plants its trials as one block from streams keyed
-    by (seed, k), trial i from row i, and is solved as in _trials, so the
-    curve is reproducible at any thread count.
+    per curve.  Each k plants its trials in blocks from streams keyed by
+    (seed, k), trial i from a row of its block, and is solved as in _trials,
+    so the curve is reproducible at any thread count.
     """
     k_list = [operator.index(k) for k in k_list]
     if not k_list:

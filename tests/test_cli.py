@@ -22,6 +22,7 @@ import cohaudit
 from cohaudit import ENSEMBLES, EnsembleSpec, MeasurementMatrix, generate, save_matrix
 from cohaudit import cli, separation, solvers
 from cohaudit.cli import main
+from cohaudit.ripcheck import BLOCK_TRIALS
 from cohaudit.solvers import SOLVERS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -157,12 +158,19 @@ def test_verify_duplicate_column_fails(tmp_path):
      "--k-list", "2,6", "--solver", "omp", "--trials", "12", "--noise", "0.01"],
     ["separate", "--preset", "spikes-fourier", "--n", "32", "--seed", "9",
      "--nx", "2", "--ne", "2", "--trials", "6"],
-    # bpdn solves its trials in lockstep runs, which the threads split
+    # bpdn solves block j of every k in one lockstep path, one work item
     ["phase", "--ensemble", "gaussian", "--rows", "30", "--cols", "60", "--seed", "9",
      "--k-list", "2,5,8", "--solver", "bpdn", "--trials", "6", "--noise", "0.01"],
     ["separate", "--preset", "spikes-fourier", "--n", "32", "--seed", "9",
      "--nx", "2", "--ne", "2", "--trials", "6", "--noise", "0.01"],
-], ids=["verify", "phase", "separate", "phase-bpdn-noisy", "separate-noisy"])
+    # one trial past a block, so that bpdn's two work items run on the pool
+    ["phase", "--ensemble", "gaussian", "--rows", "8", "--cols", "16", "--seed", "9",
+     "--k-list", "1,3", "--solver", "bpdn", "--trials", str(BLOCK_TRIALS + 1),
+     "--noise", "0.01"],
+    ["separate", "--preset", "spikes-fourier", "--n", "8", "--seed", "9",
+     "--nx", "1", "--ne", "1", "--trials", str(BLOCK_TRIALS + 1), "--noise", "0.01"],
+], ids=["verify", "phase", "separate", "phase-bpdn-noisy", "separate-noisy",
+        "phase-bpdn-two-blocks", "separate-two-blocks"])
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, base):
     # four cores, so that --threads 4 runs a pool on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -332,10 +332,16 @@ def sampler_path(path):
 
 
 def traced_peak(fn):
+    return traced_peak_and_held(fn)[0]
+
+
+def traced_peak_and_held(fn):
+    """fn's traced peak, and the traced memory still held once it returns (its result)."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        result = fn()  # held while the memory is read
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
     finally:
         tracemalloc.stop()
 

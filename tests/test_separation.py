@@ -21,6 +21,8 @@ from cohaudit import (
     spikes_fourier_pair,
 )
 from cohaudit.cli import main
+from cohaudit.ripcheck import BLOCK_TRIALS
+from test_ripcheck import traced_peak_and_held
 
 
 def test_joint_dictionary_layout():
@@ -146,6 +148,24 @@ def test_separation_trials_are_prefixes_of_longer_runs(noise):
     short = separation_trials(d, b, 2, 3, 8, 13, noise)
     long = separation_trials(d, b, 2, 3, 16, 13, noise)
     assert [repr(t) for t in short] == [repr(t) for t in long[:8]]
+    # and across the block boundary, where block 1 draws its own streams
+    across = separation_trials(d, b, 2, 3, BLOCK_TRIALS + 3, 13, noise)
+    assert [repr(t) for t in short] == [repr(t) for t in across[:8]]
+    assert len({repr(t) for t in across[BLOCK_TRIALS:] + across[:3]}) == 6
+
+
+def test_separation_trials_hold_one_block_at_a_time():
+    # three blocks of trials peak within one block's peak plus the result
+    # records they keep, as phase's trials do
+    d, b = spikes_fourier_pair(32)
+
+    def run(trials):
+        return separation_trials(d, b, 2, 3, trials, 13)
+
+    run(10)
+    one, _ = traced_peak_and_held(lambda: run(BLOCK_TRIALS))
+    three, records = traced_peak_and_held(lambda: run(3 * BLOCK_TRIALS))
+    assert three < one + records
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])

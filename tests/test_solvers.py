@@ -24,9 +24,10 @@ from cohaudit import (
     wilson_interval,
 )
 from cohaudit import solvers
+from cohaudit._streams import stream
 from cohaudit.linalg import operator_norm
-from cohaudit.ripcheck import GATHER_ENTRIES
-from test_ripcheck import traced_peak
+from cohaudit.ripcheck import BLOCK_TRIALS, GATHER_ENTRIES
+from test_ripcheck import traced_peak, traced_peak_and_held
 
 
 def tied(size, max_size):
@@ -585,6 +586,45 @@ def test_trials_are_prefixes_of_larger_blocks(solver, noise):
     short = outcomes(solvers._trials(op, [k], solver, noise, seed, 8)[0])
     assert short == outcomes(solvers._trials(op, [k], solver, noise, seed, 16)[0])[:8]
     assert short[0] == outcomes([recovery_trial(m, k, solver, noise, seed)])[0]
+    # across the block boundary: block 0 still holds the first trials, and
+    # block 1 is its own 3-column solve of block 1's draws and noise
+    across = solvers._trials(op, [k], solver, noise, seed, BLOCK_TRIALS + 3)[0]
+    assert outcomes(across[:8]) == short
+    ys = solvers._observe(m.data @ solvers._plant(seed, "signal", k, m.cols, 3, 1), noise, seed,
+                          "noise", k, j=1)
+    kernel = {"omp": solvers._omp, "iht": solvers._iht, "cosamp": solvers._cosamp}.get(solver)
+    block1 = kernel(op, ys, k) if kernel else \
+        solvers._bpdn(m.data, ys, solvers._bpdn_epsilon(noise, m.rows))
+    assert [(r.iterations, r.residual_norm, r.converged, r.flags) for r in across[BLOCK_TRIALS:]] \
+        == [(r.iterations, r.residual_norm, r.converged, r.flags) for r in block1]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_block_noise_is_the_noise_stream_jumped_to_the_block(j):
+    # block 0 draws the unjumped stream(seed, "noise", k), so every run of at
+    # most BLOCK_TRIALS trials keeps its bits; block j jumps j * 2^128 draws
+    noise = solvers._observe(np.zeros((6, 4)), 0.5, 3, "noise", 2, j=j)
+    want = 0.5 * stream(3, "noise", 2, jump=j).standard_normal((4, 6)).T
+    assert np.array_equal(noise, want)
+    if j == 0:
+        assert np.array_equal(want, 0.5 * stream(3, "noise", 2).standard_normal((4, 6)).T)
+    else:
+        assert not np.array_equal(noise, solvers._observe(np.zeros((6, 4)), 0.5, 3, "noise", 2))
+
+
+def test_trials_hold_one_block_at_a_time():
+    # three blocks of trials peak within one block's peak plus the result
+    # records they keep: each block is planted, solved and scored, and its
+    # arrays are dropped, before the next is planted
+    op = solvers._Operand(generate(EnsembleSpec("gaussian", 30, 200, 3)))
+
+    def run(trials):
+        return solvers._trials(op, [5], "omp", 0.0, 1, trials)
+
+    run(10)
+    one, _ = traced_peak_and_held(lambda: run(BLOCK_TRIALS))
+    three, records = traced_peak_and_held(lambda: run(3 * BLOCK_TRIALS))
+    assert three < one + records
 
 
 def spikes_with_copies():
@@ -747,6 +787,9 @@ def test_cosamp_refit_memory_is_bounded_by_its_chunks(gauss_100x500):
     idx = np.arange(mask.shape[1])
     peak = traced_peak(lambda: solvers._fit(data, corr_y, idx, mask, [[] for _ in idx]))
     assert peak < GATHER_ENTRIES * 8 + 3 * mask.size * 8
+    # the last chunk's products are freed before the result is scattered, so
+    # the peak is one chunk beside the (columns, m) arrays, not beside the result
+    assert peak < GATHER_ENTRIES * 8 + 0.8 * mask.size * 8
 
 
 def same_per_column(data, ys, epsilon):
@@ -872,6 +915,20 @@ def test_solvers_reject_observations_without_a_finite_norm(gauss_100x500, solve,
     assert str(err.value) == "y must be finite, with a finite squared norm"
 
 
+@pytest.mark.parametrize("solve, arg", [(omp, 1), (iht, 1), (cosamp, 1), (lasso, 0.1),
+                                        (bpdn, 0.0)], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solvers_reject_a_non_finite_matrix(solve, arg, bad):
+    # a plain array is not checked as a MeasurementMatrix is: at NaN omp
+    # returned converged with a NaN estimate, iht failed inside numpy, cosamp
+    # did not converge and bpdn reported 'infeasible-epsilon'
+    data = np.eye(3, 4)
+    data[0, 3] = bad
+    with pytest.raises(DomainError) as err:
+        solve(data, np.eye(3)[0], arg)
+    assert str(err.value) == "matrix entries must be finite"
+
+
 @pytest.mark.parametrize("k_list, trials", [([2.7], 2), ([2, np.float64(3.0)], 2), ([2], 2.0)])
 def test_phase_curve_takes_only_integer_k_and_trials(gauss_100x500, k_list, trials):
     # int(k) ran k = 2.7 and reported k = 2
@@ -899,6 +956,9 @@ def test_cosamp_refit_frees_its_sort_before_the_result(gauss_100x500):
     idx = np.arange(mask.shape[1])
     peak = traced_peak(lambda: solvers._fit(data, corr_y, idx, mask, [[] for _ in idx]))
     assert peak < GATHER_ENTRIES * 8 + 2.5 * mask.size * 8
+    # and the scatter into the result builds no index arrays beside it (1.9
+    # result sizes when it did, with the last chunk's products still held)
+    assert peak < GATHER_ENTRIES * 8 + 1.5 * mask.size * 8
 
 
 def test_reported_input_faults(gauss_100x500):
